@@ -25,13 +25,14 @@ from .enumeration import (
     census_c21,
     census_c22,
     census_cnk,
+    census_cnk_exhaustive,
     census_cnk_naive,
     diff_golden,
     homotopy_census,
     load_golden,
     table_from_csv,
 )
-from .errors import LimitExceeded, ParseError
+from .errors import LimitExceeded, ParseError, UsageError
 from .formulas import (
     IdentityAuditRow,
     c21,

@@ -16,7 +16,6 @@ Exit codes: 0 success; 1 failed golden check or failed verify suite;
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .compositions import parse_seaweed_type
@@ -27,7 +26,7 @@ from .enumeration import (
     diff_golden,
     load_golden,
 )
-from .errors import LimitExceeded, ParseError
+from .errors import LimitExceeded, ParseError, UsageError
 from .meander import (
     build_meander,
     component_summary,
@@ -81,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p.add_argument("--oracle", choices=["gcd", "meander"], default="gcd",
                    help="index oracle for c22 tables")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for cnk (1 = reference path)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="cnk: N > 1 walks every pair on N fork workers, "
+                        "a cross-check of the default serial recurrence")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--check-golden", action="store_true",
                    help="compare against the shipped reference table")
@@ -160,8 +160,6 @@ def cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "index": cmd_index,
         "wind": cmd_wind,
@@ -170,8 +168,10 @@ def main(argv=None) -> int:
         "render": cmd_render,
     }
     try:
+        # the parser's epilog reads the limits from the environment
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except ParseError as e:
+    except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except LimitExceeded as e:

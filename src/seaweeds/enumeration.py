@@ -1,20 +1,31 @@
-"""Exhaustive censuses over pairs of compositions; ground truth for formulas.
+"""Censuses over pairs of compositions; ground truth for formulas.
 
-census_cnk(n) walks all 4^(n-1) pairs and tallies seaweed index values; the
-kernel works on precomputed per-mask partner tables and counts connected
-components with an integer visited-bitmask, using
+census_cnk(n) tallies the seaweed index over all 4^(n-1) pairs by the
+winding-down recurrence (winding._wind_tally): states are fixed leading parts
+of both compositions, the five moves rewrite only those, and the index is
+sum(C-values) - 1, so a row costs a few thousand memoized states instead of
+4^(n-1) meander walks.  It rests on the theorem that the winding index equals
+the graph index, which the exhaustive path checks row by row.
+
+census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
+runs it: it walks every pair through its meander, on precomputed per-mask
+partner tables, counting connected components with an integer
+visited-bitmask and using
 
     index = 2*K + E - n - 1
 
 (K components, E total arcs), which agrees with 2*cycles + paths - 1 because
-a path with v vertices has v-1 arcs and a cycle v arcs.  census_c21 and
+a path with v vertices has v-1 arcs and a cycle v arcs.  Its workers
+partition the pair-rank range [0, 4^(n-1)) into contiguous chunks; count maps
+merge commutatively, so the result never depends on the split.
+census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
-canonical homotopy types.  Results are sparse maps (zero counts omitted).
+canonical homotopy types exhaustively.  Results are sparse maps (zero counts
+omitted).
 
-Workers partition the pair-rank range [0, 4^(n-1)) into contiguous chunks;
-count maps merge commutatively, so the result never depends on the split.
-Limits guard the 4x-per-step cost and can be overridden by environment
-variables (see DEFAULT_CENSUS_LIMIT / DEFAULT_C22_MEANDER_LIMIT).
+Limits guard the 4x-per-step cost of the exhaustive paths and can be
+overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
+DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit.
 """
 
 from __future__ import annotations
@@ -23,15 +34,16 @@ import csv
 import io
 import json
 import os
+import signal
 from dataclasses import dataclass
 from importlib import resources
 from math import gcd
 from multiprocessing import get_context
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
-from .errors import LimitExceeded
+from .errors import LimitExceeded, UsageError
 from .meander import seaweed_index
-from .winding import HomotopyType, _wind_homotopy
+from .winding import HomotopyType, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
 DEFAULT_CENSUS_LIMIT = 14
@@ -39,12 +51,22 @@ C22_MEANDER_LIMIT_ENV = "SEAWEEDS_C22_MEANDER_LIMIT"
 DEFAULT_C22_MEANDER_LIMIT = 50
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {text!r}") from None
+
+
 def census_limit() -> int:
-    return int(os.environ.get(CENSUS_LIMIT_ENV, DEFAULT_CENSUS_LIMIT))
+    return _env_int(CENSUS_LIMIT_ENV, DEFAULT_CENSUS_LIMIT)
 
 
 def c22_meander_limit() -> int:
-    return int(os.environ.get(C22_MEANDER_LIMIT_ENV, DEFAULT_C22_MEANDER_LIMIT))
+    return _env_int(C22_MEANDER_LIMIT_ENV, DEFAULT_C22_MEANDER_LIMIT)
 
 
 def _check_census_limit(n: int) -> None:
@@ -142,7 +164,34 @@ def merge_counts(parts) -> dict[int, int]:
 
 
 def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
-    """Tally of seaweed_index over all 4^(n-1) pairs of compositions of n."""
+    """Tally of seaweed_index over all 4^(n-1) pairs of compositions of n.
+
+    With one worker it is computed by the winding-down recurrence, whose
+    memo lives only for this call.  The recurrence is serial and takes
+    milliseconds, so more than one worker asks instead for the exhaustive
+    census forked over that many processes (census_cnk_exhaustive): the
+    independent cross-check, as in `table cnk --workers N`.
+    """
+    if workers > 1:
+        return census_cnk_exhaustive(n, workers)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_census_limit(n)
+    sums = _wind_tally(n, (), (), {})
+    return {s - 1: v for s, v in sorted(sums.items())}
+
+
+def _worker_init() -> None:
+    # Leaving the pool stops idle workers with SIGTERM.  A Python-level
+    # handler inherited through fork only sets a flag, which a worker about
+    # to wait on the task-queue lock (held by the terminating pool) never
+    # reads, so the pool hangs in join; the default action cannot miss.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
+    """Reference path: census_cnk by walking every pair's meander, forked
+    over `workers` processes."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_census_limit(n)
@@ -156,7 +205,7 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
         size = chunk + (1 if w < extra else 0)
         jobs.append((n, pos, pos + size))
         pos += size
-    with get_context("fork").Pool(workers) as pool:
+    with get_context("fork").Pool(workers, initializer=_worker_init) as pool:
         parts = pool.map(_census_worker, jobs)
     return merge_counts(parts)
 
@@ -323,7 +372,7 @@ def build_table(
 ) -> IndexTable:
     min_n = _MIN_N[kind]
     if max_n < min_n:
-        raise ValueError(f"max_n must be >= {min_n} for {kind}")
+        raise UsageError(f"max_n must be >= {min_n} for {kind}")
     # fail fast before any row is computed
     if kind == "cnk":
         _check_census_limit(max_n)

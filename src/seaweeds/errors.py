@@ -16,3 +16,7 @@ class ParseError(ValueError):
 
 class LimitExceeded(RuntimeError):
     """An enumeration was refused because it would exceed the configured bound."""
+
+
+class UsageError(ValueError):
+    """A command-line argument or environment setting the program cannot use."""

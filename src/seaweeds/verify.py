@@ -17,6 +17,7 @@ from .enumeration import (
     census_c21,
     census_c22,
     census_cnk,
+    census_cnk_exhaustive,
     load_golden,
 )
 from .formulas import (
@@ -103,7 +104,7 @@ _cnk_cache: dict[int, dict[int, int]] = {}
 
 def _cnk(n: int) -> dict[int, int]:
     if n not in _cnk_cache:
-        _cnk_cache[n] = census_cnk(n)
+        _cnk_cache[n] = census_cnk_exhaustive(n)
     return _cnk_cache[n]
 
 
@@ -132,6 +133,14 @@ def suite_formulas() -> VerifySuiteReport:
     _run(checks, "diag1 closed form vs census", diag_check(1, c_diag1, 1))
     _run(checks, "diag2 closed form vs census", diag_check(2, c_diag2, 2))
     _run(checks, "diag3 closed form vs census", diag_check(3, c_diag3, 3))
+
+    def winding_dp():
+        pairs = [(f"n={n}", _cnk(n), census_cnk(n))
+                 for n in range(1, DIAG_CENSUS_MAX_N + 1)]
+        ok, msg = _mismatches(pairs)
+        return ok, f"n=1..{DIAG_CENSUS_MAX_N}, full rows; {msg}"
+
+    _run(checks, "cnk winding DP vs exhaustive census", winding_dp)
 
     def longform():
         pairs = [(f"n={n}", c_diag3(n), c_diag3_longform(n))
@@ -351,8 +360,7 @@ def suite_winding() -> VerifySuiteReport:
                                 lay, oth = oth, lay
                     graph_index = 2 * K + arcs[bmask] + base
                     comps = _wind_homotopy(tp, parts[bmask])
-                    wind_index = (sum(2 * (c // 2) for c in comps)
-                                  + sum(c % 2 for c in comps) - 1)
+                    wind_index = sum(comps) - 1
                     if graph_index != wind_index:
                         return False, (
                             f"pair (n={n}, {tmask}, {bmask}): graph {graph_index} "

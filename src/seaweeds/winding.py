@@ -18,9 +18,13 @@ with equality iff no R/B/P move ever fires (e.g. for a/a).
 
 The meander of the seaweed deformation-retracts onto a wedge-like union of
 circles, one per even recorded component plus one per pair of odd ones; its
-index can be recovered from the homotopy type alone:
+index can be recovered from the homotopy type alone.  A component c counts
+2*floor(c/2) + (c mod 2) = c, so
 
-    index = sum 2*floor(c_i/2) + (number of odd c_i) - 1
+    index = sum(c_i) - 1
+
+The moves only ever read leading parts, which is what lets _wind_tally count
+the index over all pairs at once by recursing on fixed prefixes.
 """
 
 from __future__ import annotations
@@ -154,13 +158,57 @@ def _wind_homotopy(top, bottom) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
+                memo: dict) -> dict[int, int]:
+    """Tally of sum(C-values) over all pairs of compositions of m whose top
+    begins with the parts `top` and whose bottom begins with `bottom`.
+
+    The parts after the prefixes are free.  An empty prefix branches over its
+    next part; otherwise the move the leading parts select rewrites only the
+    prefixes, and every pair sharing them moves alike.  Results are keyed by
+    state in `memo`, which the caller owns and drops: the returned dicts are
+    shared between states and must not be mutated.
+    """
+    if not top:
+        if not m:
+            return {0: 1}
+        key = (m, top, bottom)
+        got = memo.get(key)
+        if got is None:
+            got = {}
+            for a in range(1, m + 1):
+                for s, v in _wind_tally(m, (a,), bottom, memo).items():
+                    got[s] = got.get(s, 0) + v
+            memo[key] = got
+        return got
+    if not bottom:
+        return _wind_tally(m, bottom, top, memo)
+    a, b = top[0], bottom[0]
+    if a < b:  # F
+        return _wind_tally(m, bottom, top, memo)
+    key = (m, top, bottom)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if a == b:  # C(a)
+        got = {s + a: v for s, v in
+               _wind_tally(m - a, top[1:], bottom[1:], memo).items()}
+    elif a < 2 * b:  # R
+        got = _wind_tally(m - (a - b), (b,) + top[1:], (2 * b - a,) + bottom[1:],
+                          memo)
+    elif a == 2 * b:  # B
+        got = _wind_tally(m - b, (b,) + top[1:], bottom[1:], memo)
+    else:  # P
+        got = _wind_tally(m - b, (a - 2 * b, b) + top[1:], bottom[1:], memo)
+    memo[key] = got
+    return got
+
+
 def homotopy_index(h: HomotopyType) -> int:
     """Index of any seaweed with this homotopy type."""
     if not h.components:
         raise ValueError("empty homotopy type")
-    return sum(2 * (c // 2) for c in h.components) + sum(
-        1 for c in h.components if c % 2
-    ) - 1
+    return sum(h.components) - 1
 
 
 def format_signature(sig: Signature) -> str:

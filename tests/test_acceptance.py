@@ -14,6 +14,7 @@ from seaweeds.enumeration import (
     census_c21,
     census_c22,
     census_cnk,
+    census_cnk_exhaustive,
     load_golden,
 )
 from seaweeds.formulas import (
@@ -191,8 +192,8 @@ def test_criterion_08_gcd_formulas(capsys):
 
 
 def test_criterion_09_parallel_determinism(capsys):
-    serial = census_cnk(10, workers=1)
-    parallel = census_cnk(10, workers=4)
+    serial = census_cnk_exhaustive(10, workers=1)
+    parallel = census_cnk_exhaustive(10, workers=4)
     ok = serial == parallel and sum(serial.values()) == 4 ** 9
     _report(capsys, 9, "parallel-determinism", ok, "n=10, workers 1 vs 4")
     assert ok

@@ -81,6 +81,24 @@ def test_table_over_limit(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind,max_n", [("cnk", "0"), ("c21", "1"), ("c22", "1")])
+def test_table_max_n_below_minimum(capsys, kind, max_n):
+    code, out, err = run(capsys, "table", kind, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_n must be >=")
+
+
+@pytest.mark.parametrize("var", ["SEAWEEDS_CENSUS_LIMIT", "SEAWEEDS_C22_MEANDER_LIMIT"])
+def test_bad_limit_env(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "abc")
+    for argv in (["index", "2|1/3"], ["table", "cnk", "--max-n", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {var} must be an integer, got 'abc'\n"
+
+
 def test_table_output_io_error(capsys):
     code, _, err = run(
         capsys, "table", "cnk", "--max-n", "2", "--output", "/nonexistent/dir/t.csv"

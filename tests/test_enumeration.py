@@ -1,13 +1,18 @@
+import gc
 import json
+import signal
+import sys
 
 import pytest
 
+from seaweeds import enumeration
 from seaweeds.enumeration import (
     IndexTable,
     build_table,
     census_c21,
     census_c22,
     census_cnk,
+    census_cnk_exhaustive,
     census_cnk_naive,
     diff_golden,
     homotopy_census,
@@ -27,8 +32,8 @@ def test_census_small_rows():
 
 
 def test_census_matches_naive():
-    for n in range(1, 8):
-        assert census_cnk(n) == census_cnk_naive(n)
+    for n in range(1, 9):
+        assert census_cnk(n) == census_cnk_exhaustive(n) == census_cnk_naive(n)
 
 
 def test_census_row_sums():
@@ -38,12 +43,49 @@ def test_census_row_sums():
 
 def test_census_matches_golden():
     golden = load_golden("cnk")
-    for n in range(1, 9):
-        assert census_cnk(n) == golden.rows[n]
+    for n in range(1, 11):
+        assert census_cnk(n) == census_cnk_exhaustive(n) == golden.rows[n]
+
+
+def test_census_frees_its_memo():
+    gc.collect()
+    gc.disable()
+    try:
+        census_cnk(9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_census_parallel_agrees():
-    assert census_cnk(8, workers=3) == census_cnk(8, workers=1)
+    assert census_cnk_exhaustive(8, workers=3) == census_cnk_exhaustive(8, workers=1)
+
+
+def _sigterm_is_default(job):
+    return {signal.getsignal(signal.SIGTERM) == signal.SIG_DFL: 1}
+
+
+def test_census_pool_workers_take_default_sigterm(monkeypatch):
+    # leaving the pool stops its workers with SIGTERM; a caller's
+    # Python-level handler inherited through fork can miss it and hang
+    monkeypatch.setattr(enumeration, "_census_worker", _sigterm_is_default)
+    old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+    try:
+        assert census_cnk_exhaustive(8, workers=2) == {True: 2}
+    finally:
+        signal.signal(signal.SIGTERM, old)
+
+
+def test_census_workers_run_exhaustive(monkeypatch):
+    # more than one worker asks for the forked exhaustive census
+    calls = []
+    monkeypatch.setattr(enumeration, "census_cnk_exhaustive",
+                        lambda n, workers: calls.append(workers) or {})
+    census_cnk(4, workers=2)
+    census_cnk(4, workers=1)
+    assert calls == [2]
+    monkeypatch.undo()
+    assert census_cnk(8, workers=2) == census_cnk(8)
 
 
 def test_merge_counts():
@@ -110,6 +152,8 @@ def test_census_limit_env(monkeypatch):
     census_cnk(5)
     with pytest.raises(LimitExceeded):
         census_cnk(6)
+    with pytest.raises(LimitExceeded):
+        census_cnk_exhaustive(6)
     with pytest.raises(LimitExceeded):
         homotopy_census(6)
 
