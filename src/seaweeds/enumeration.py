@@ -8,14 +8,14 @@ sum(C-values) - 1, so a row costs a few thousand memoized states instead of
 the graph index, which the exhaustive path checks row by row.
 
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
-runs it: it walks every pair through its meander, on precomputed per-mask
-partner tables, counting connected components with an integer
-visited-bitmask and using
+runs it: it walks every pair through its meander (_graph_indices, which
+verify's per-pair winding check shares), on precomputed per-mask partner
+tables, counting only cycles with an integer visited-bitmask and using
 
-    index = 2*K + E - n - 1
+    index = 2*cycles + n - E - 1
 
-(K components, E total arcs), which agrees with 2*cycles + paths - 1 because
-a path with v vertices has v-1 arcs and a cycle v arcs.  Its workers
+(E total arcs): a cycle with v vertices has v arcs and a path v-1, so
+paths = n - E and 2*cycles + paths - 1 needs no path walked.  Its workers
 partition the pair-rank range [0, 4^(n-1)) into contiguous chunks; count maps
 merge commutatively, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
@@ -42,7 +42,7 @@ from multiprocessing import get_context
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .errors import LimitExceeded, UsageError
-from .meander import seaweed_index
+from .meander import _block_edges, seaweed_index
 from .winding import HomotopyType, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
@@ -84,21 +84,49 @@ def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
     partners = []
     arc_counts = []
     for mask in range(1 << (n - 1)):
-        parts = composition_from_bitmask(n, mask).parts
+        edges = _block_edges(composition_from_bitmask(n, mask).parts)
         ptr = list(range(n))
-        p = 0
-        e = 0
-        for a in parts:
-            s = 2 * p + a - 1  # arcs of this block pair (j, s-j)
-            for j in range(p, p + a // 2):
-                k = s - j
-                ptr[j] = k
-                ptr[k] = j
-            e += a // 2
-            p += a
+        for j, k in edges:
+            ptr[j - 1], ptr[k - 1] = k - 1, j - 1
         partners.append(ptr)
-        arc_counts.append(e)
+        arc_counts.append(len(edges))
     return partners, arc_counts
+
+
+def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
+                   arcs: list[int], bstart: int, bstop: int) -> list[int]:
+    """Graph index of top table T over each bottom mask in [bstart, bstop).
+
+    A walk starts at each unvisited vertex and goes one way only, so every
+    vertex is visited once; a walk that returns to its start closes a cycle.
+    Paths need no count: paths = n - E.
+    """
+    base = n - tarcs - 1
+    out = []
+    for bmask in range(bstart, bstop):
+        B = partners[bmask]
+        vis = 0
+        cycles = 0
+        for v in range(n):
+            if vis >> v & 1:
+                continue
+            vis |= 1 << v
+            cur = v
+            lay, oth = T, B
+            while True:
+                nxt = lay[cur]
+                if nxt == cur:
+                    break
+                m = 1 << nxt
+                if vis & m:
+                    if nxt == v:
+                        cycles += 1
+                    break
+                vis |= m
+                cur = nxt
+                lay, oth = oth, lay
+        out.append(2 * cycles + base - arcs[bmask])
+    return out
 
 
 def _census_range(n: int, start: int, stop: int) -> dict[int, int]:
@@ -110,49 +138,11 @@ def _census_range(n: int, start: int, stop: int) -> dict[int, int]:
     while rank < stop:
         tmask, bstart = divmod(rank, half)
         bstop = min(half, bstart + (stop - rank))
-        T = partners[tmask]
-        base = arcs[tmask] - n - 1
-        for bmask in range(bstart, bstop):
-            B = partners[bmask]
-            vis = 0
-            K = 0
-            for v in range(n):
-                if vis >> v & 1:
-                    continue
-                K += 1
-                vis |= 1 << v
-                cur = v
-                lay, oth = T, B
-                while True:
-                    nxt = lay[cur]
-                    if nxt == cur:
-                        break
-                    m = 1 << nxt
-                    if vis & m:
-                        break
-                    vis |= m
-                    cur = nxt
-                    lay, oth = oth, lay
-                cur = v
-                lay, oth = B, T
-                while True:
-                    nxt = lay[cur]
-                    if nxt == cur:
-                        break
-                    m = 1 << nxt
-                    if vis & m:
-                        break
-                    vis |= m
-                    cur = nxt
-                    lay, oth = oth, lay
-            idx = 2 * K + arcs[bmask] + base
+        for idx in _graph_indices(n, partners[tmask], arcs[tmask], partners,
+                                  arcs, bstart, bstop):
             counts[idx] = counts.get(idx, 0) + 1
         rank += bstop - bstart
     return counts
-
-
-def _census_worker(args: tuple[int, int, int]) -> dict[int, int]:
-    return _census_range(*args)
 
 
 def merge_counts(parts) -> dict[int, int]:
@@ -206,7 +196,7 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
         jobs.append((n, pos, pos + size))
         pos += size
     with get_context("fork").Pool(workers, initializer=_worker_init) as pool:
-        parts = pool.map(_census_worker, jobs)
+        parts = pool.starmap(_census_range, jobs)
     return merge_counts(parts)
 
 

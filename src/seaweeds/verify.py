@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
+    _graph_indices,
     _mask_tables,
     census_c21,
     census_c22,
@@ -334,39 +335,17 @@ def suite_winding() -> VerifySuiteReport:
             half = 1 << (n - 1)
             parts = [composition_from_bitmask(n, m).parts for m in range(half)]
             for tmask in range(half):
-                T = partners[tmask]
                 tp = parts[tmask]
-                base = arcs[tmask] - n - 1
-                for bmask in range(half):
-                    B = partners[bmask]
-                    vis = 0
-                    K = 0
-                    for v in range(n):
-                        if vis >> v & 1:
-                            continue
-                        K += 1
-                        vis |= 1 << v
-                        for lay, oth in ((T, B), (B, T)):
-                            cur = v
-                            while True:
-                                nxt = lay[cur]
-                                if nxt == cur:
-                                    break
-                                bit = 1 << nxt
-                                if vis & bit:
-                                    break
-                                vis |= bit
-                                cur = nxt
-                                lay, oth = oth, lay
-                    graph_index = 2 * K + arcs[bmask] + base
-                    comps = _wind_homotopy(tp, parts[bmask])
-                    wind_index = sum(comps) - 1
+                graph = _graph_indices(n, partners[tmask], arcs[tmask],
+                                       partners, arcs, 0, half)
+                for bmask, graph_index in enumerate(graph):
+                    wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
                     if graph_index != wind_index:
                         return False, (
                             f"pair (n={n}, {tmask}, {bmask}): graph {graph_index} "
                             f"!= winding {wind_index}"
                         )
-                    total += 1
+                total += half
         return True, f"all {total} pairs with n<=10 agree"
 
     _run(checks, "winding index equals graph index", agreement)

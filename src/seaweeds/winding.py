@@ -25,6 +25,11 @@ index can be recovered from the homotopy type alone.  A component c counts
 
 The moves only ever read leading parts, which is what lets _wind_tally count
 the index over all pairs at once by recursing on fixed prefixes.
+
+The moves above are applied to a single pair in one place, the deque kernel
+_wind_homotopy: wind_down records its moves and homotopy_components its
+C-values.  wind_step is the single-step reference, one move on SeaweedType
+objects, that the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -94,7 +99,11 @@ class HomotopyType:
 
 
 def wind_step(t: SeaweedType) -> tuple[Move, SeaweedType | None]:
-    """Apply one move; the new type is None exactly when a C empties both sides."""
+    """Apply one move; the new type is None exactly when a C empties both sides.
+
+    The single-step public API, on validated objects: wind_down records the
+    deque kernel's moves instead, and the tests check them against this.
+    """
     a, b = t.top.parts[0], t.bottom.parts[0]
     ta, tb = t.top.parts[1:], t.bottom.parts[1:]
     if a < b:
@@ -117,44 +126,56 @@ def wind_step(t: SeaweedType) -> tuple[Move, SeaweedType | None]:
 
 
 def wind_down(t: SeaweedType) -> tuple[Signature, HomotopyType]:
-    moves = []
-    cur: SeaweedType | None = t
-    while cur is not None:
-        move, cur = wind_step(cur)
-        moves.append(move)
-    sig = Signature(tuple(moves))
-    return sig, sig.homotopy_type()
+    """Wind t down to nothing: the moves the deque kernel records, and the
+    homotopy type."""
+    moves: list[Move] = []
+    comps = _wind_homotopy(t.top.parts, t.bottom.parts, moves)
+    return Signature(tuple(moves)), HomotopyType(comps)
 
 
 def homotopy_components(t: SeaweedType) -> tuple[int, ...]:
-    """Recorded C-values only, via a deque kernel (no object churn).
+    """Recorded C-values only, via the deque kernel (no object churn).
 
-    Same elimination order as wind_down; used by the censuses.
+    wind_down records this kernel's moves; wind_step, one move at a time on
+    SeaweedType objects, is the reference it is tested against.  Used by the
+    censuses.
     """
     return _wind_homotopy(t.top.parts, t.bottom.parts)
 
 
-def _wind_homotopy(top, bottom) -> tuple[int, ...]:
+_MOVES = {tag: Move(tag) for tag in "FRBP"}
+
+
+def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
+    """Recorded C-values of top/bottom; each Move is appended to `moves` when
+    a list is given."""
     dt, db = deque(top), deque(bottom)
     out = []
     while dt:
         a, b = dt[0], db[0]
         if a < b:
             dt, db = db, dt
+            tag = "F"
         elif a == b:
             dt.popleft()
             db.popleft()
             out.append(a)
+            tag = "C"
         elif a < 2 * b:
             dt[0] = b
             db[0] = 2 * b - a
+            tag = "R"
         elif a == 2 * b:
             dt[0] = b
             db.popleft()
+            tag = "B"
         else:
             dt[0] = b
             dt.appendleft(a - 2 * b)
             db.popleft()
+            tag = "P"
+        if moves is not None:
+            moves.append(Move("C", a) if tag == "C" else _MOVES[tag])
     return tuple(out)
 
 

@@ -20,7 +20,9 @@ from seaweeds.enumeration import (
     merge_counts,
     table_from_csv,
 )
+from seaweeds.compositions import SeaweedType, composition_from_bitmask
 from seaweeds.errors import LimitExceeded
+from seaweeds.meander import seaweed_index
 from seaweeds.winding import HomotopyType, homotopy_index
 
 
@@ -61,14 +63,14 @@ def test_census_parallel_agrees():
     assert census_cnk_exhaustive(8, workers=3) == census_cnk_exhaustive(8, workers=1)
 
 
-def _sigterm_is_default(job):
+def _sigterm_is_default(n, start, stop):
     return {signal.getsignal(signal.SIGTERM) == signal.SIG_DFL: 1}
 
 
 def test_census_pool_workers_take_default_sigterm(monkeypatch):
     # leaving the pool stops its workers with SIGTERM; a caller's
     # Python-level handler inherited through fork can miss it and hang
-    monkeypatch.setattr(enumeration, "_census_worker", _sigterm_is_default)
+    monkeypatch.setattr(enumeration, "_census_range", _sigterm_is_default)
     old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     try:
         assert census_cnk_exhaustive(8, workers=2) == {True: 2}
@@ -86,6 +88,25 @@ def test_census_workers_run_exhaustive(monkeypatch):
     assert calls == [2]
     monkeypatch.undo()
     assert census_cnk(8, workers=2) == census_cnk(8)
+
+
+def test_graph_indices_match_seaweed_index_per_pair():
+    # tallies cannot see per-pair errors that cancel; the verify winding
+    # check reads these values pair by pair
+    for n in range(1, 8):
+        partners, arcs = enumeration._mask_tables(n)
+        half = 1 << (n - 1)
+        comps = [composition_from_bitmask(n, m) for m in range(half)]
+        for tmask in range(half):
+            got = enumeration._graph_indices(n, partners[tmask], arcs[tmask],
+                                             partners, arcs, 0, half)
+            want = [seaweed_index(SeaweedType(comps[tmask], bottom))
+                    for bottom in comps]
+            assert got == want
+            lo, hi = half // 3, half - half // 4
+            assert enumeration._graph_indices(
+                n, partners[tmask], arcs[tmask], partners, arcs, lo, hi
+            ) == want[lo:hi]
 
 
 def test_merge_counts():

@@ -1,5 +1,6 @@
 import pytest
 
+from seaweeds import verify
 from seaweeds.verify import (
     SUITES,
     CheckResult,
@@ -79,3 +80,20 @@ def test_run_captures_exceptions():
     assert "RuntimeError" in checks[0].detail
     assert checks[1].passed
     assert checks[1].detail == "all good"
+
+
+def test_winding_check_fails_on_one_pair(monkeypatch):
+    # the graph side comes from the census kernel; one pair whose winding
+    # side is off (the first, so the check stops at once) must fail it
+    wind = verify._wind_homotopy
+
+    def off_on_first_pair(top, bottom):
+        comps = wind(top, bottom)
+        return comps + (1,) if top == bottom == (1,) else comps
+
+    monkeypatch.setattr(verify, "_wind_homotopy", off_on_first_pair)
+    report = run_suite("winding")
+    line = next(line for line in report.format().splitlines()
+                if "winding index equals graph index" in line)
+    assert line.startswith("[FAIL] winding index equals graph index")
+    assert "pair (n=1, 0, 0): graph 0 != winding 1" in line
