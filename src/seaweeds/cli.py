@@ -16,6 +16,7 @@ Exit codes: 0 success; 1 failed golden check or failed verify suite;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .compositions import parse_seaweed_type
@@ -27,6 +28,9 @@ from .enumeration import (
     load_golden,
 )
 from .errors import LimitExceeded, ParseError, UsageError
+# cmd_index reads the index off its component summary; seaweed_index stays
+# importable here because bench/traced.py patches the library calls the CLI
+# resolves at this import site.
 from .meander import (
     build_meander,
     component_summary,
@@ -48,7 +52,9 @@ EXIT_IO = 4
 _TABLE_DEFAULT_MAX_N = {"cnk": 10, "c21": 12, "c22": 11}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def build_parser(census_max_n: int, c22_max_n: int) -> argparse.ArgumentParser:
+    """The parser whose epilog prints these two limits."""
     parser = argparse.ArgumentParser(
         prog="seaweeds",
         description=(
@@ -61,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
             "a type is top/bottom (e.g. 2|4/1|2|3). Polynomials print as "
             "ascending powers like 6x^3-10x^4. Environment: "
             "SEAWEEDS_CENSUS_LIMIT bounds full-pair censuses (default "
-            f"{census_limit()}), SEAWEEDS_C22_MEANDER_LIMIT bounds the "
-            f"two-over-two meander oracle (default {c22_meander_limit()})."
+            f"{census_max_n}), SEAWEEDS_C22_MEANDER_LIMIT bounds the "
+            f"two-over-two meander oracle (default {c22_max_n})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,7 +115,7 @@ def cmd_index(args) -> int:
     st = parse_seaweed_type(args.type)
     summary = component_summary(build_meander(st))
     print(f"type {st}")
-    print(f"index {seaweed_index(st)}")
+    print(f"index {summary.index}")
     print(f"dimension {seaweed_dimension(st)}")
     print(f"rank {seaweed_rank(st.n)}")
     print(f"cycles {summary.cycles}")
@@ -168,8 +174,10 @@ def main(argv=None) -> int:
         "render": cmd_render,
     }
     try:
-        # the parser's epilog reads the limits from the environment
-        args = build_parser().parse_args(argv)
+        # Building the parser costs more than answering an index query, so
+        # it is built once per pair of limits.  The limits are read (and a
+        # bad one rejected) on every call, so --help shows the current ones.
+        args = build_parser(census_limit(), c22_meander_limit()).parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

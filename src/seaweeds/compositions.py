@@ -16,6 +16,7 @@ from typing import Iterator
 from .errors import ParseError
 
 _PART_RE = re.compile(r"[1-9][0-9]*")
+_COMPOSITION_RE = re.compile(r"[1-9][0-9]*(?:\|[1-9][0-9]*)*")
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,12 @@ def all_pairs(
 
 def parse_composition(text: str) -> Composition:
     """Parse ``a1|a2|...|ak`` with decimal parts and no whitespace."""
+    if _COMPOSITION_RE.fullmatch(text):
+        try:
+            return Composition(tuple(map(int, text.split("|"))))
+        except ValueError:
+            pass  # a part longer than int() takes; the scan below places it
+    # malformed: scan part by part to report where
     if not text:
         raise ParseError("empty composition", 0)
     parts = []
@@ -140,7 +147,12 @@ def parse_composition(text: str) -> Composition:
         m = _PART_RE.match(text, pos)
         if not m:
             raise ParseError(f"expected part in {text!r}", pos)
-        parts.append(int(m.group()))
+        try:
+            parts.append(int(m.group()))
+        except ValueError:
+            raise ParseError(
+                f"part of {m.end() - pos} digits is too long to read", pos
+            ) from None
         pos = m.end()
         if pos == len(text):
             break

@@ -179,9 +179,18 @@ def _worker_init() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
+def _pool_size(workers: int) -> int:
+    """Processes to start for `workers` jobs: no more than the usable CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
 def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
-    """Reference path: census_cnk by walking every pair's meander, forked
-    over `workers` processes."""
+    """Reference path: census_cnk by walking every pair's meander, split into
+    `workers` jobs forked over at most as many processes as there are CPUs."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_census_limit(n)
@@ -195,7 +204,13 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
         size = chunk + (1 if w < extra else 0)
         jobs.append((n, pos, pos + size))
         pos += size
-    with get_context("fork").Pool(workers, initializer=_worker_init) as pool:
+    try:
+        ctx = get_context("fork")
+    except ValueError:
+        raise UsageError(
+            "workers > 1 needs the 'fork' start method, which this platform lacks"
+        ) from None
+    with ctx.Pool(_pool_size(workers), initializer=_worker_init) as pool:
         parts = pool.starmap(_census_range, jobs)
     return merge_counts(parts)
 

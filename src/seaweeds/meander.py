@@ -10,7 +10,7 @@ one bottom arc, so the graph is a disjoint union of simple paths and cycles
 
 For a seaweed in sl(n) of this type,
 
-    index     = 2 * (#cycles) + (#paths) - 1
+    index     = 2 * (#cycles) + (#paths) - 1      (ComponentSummary.index)
     dimension = sum a_i(a_i+1)/2 + sum b_j(b_j+1)/2 - n - 1
     rank      = n - 1
 """
@@ -47,6 +47,11 @@ class ComponentSummary:
     cycles: int
     paths: int
     components: tuple[tuple[int, ...], ...]  # sorted vertices, discovery order
+
+    @property
+    def index(self) -> int:
+        """Index of the seaweed whose meander this summarises."""
+        return 2 * self.cycles + self.paths - 1
 
 
 def build_meander(t: SeaweedType) -> Meander:
@@ -102,8 +107,7 @@ def component_summary(m: Meander) -> ComponentSummary:
 
 
 def seaweed_index(t: SeaweedType) -> int:
-    s = component_summary(build_meander(t))
-    return 2 * s.cycles + s.paths - 1
+    return component_summary(build_meander(t)).index
 
 
 def seaweed_dimension(t: SeaweedType) -> int:

@@ -1,9 +1,10 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from seaweeds import cli
+from seaweeds import cli, enumeration, meander
 
 
 def run(capsys, *argv):
@@ -31,6 +32,52 @@ def test_index_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int() reads any number of digits")
+def test_index_part_too_long(capsys):
+    part = "1" + "0" * sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "index", f"{part}/{part}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: part of ")
+    assert err.endswith("(at position 0)\n")
+
+
+def test_parser_built_once_per_limits(capsys, monkeypatch):
+    monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
+    monkeypatch.delenv("SEAWEEDS_C22_MEANDER_LIMIT", raising=False)
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "index", "2|4/1|2|3")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    assert f"default {enumeration.DEFAULT_CENSUS_LIMIT})" in help_text()
+    monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "9")
+    assert "default 9)" in help_text()
+
+
+def test_index_walks_the_meander_once(capsys, monkeypatch):
+    calls = []
+    walk = meander.component_summary
+
+    def counted(m):
+        calls.append(m.n)
+        return walk(m)
+
+    monkeypatch.setattr(cli, "component_summary", counted)
+    monkeypatch.setattr(meander, "component_summary", counted)
+    code, out, _ = run(capsys, "index", "4|4/2|4|2")
+    assert code == 0
+    assert "index 1" in out.splitlines()
+    assert calls == [8]
 
 
 def test_wind_command(capsys):
@@ -97,6 +144,17 @@ def test_bad_limit_env(capsys, monkeypatch, var):
         assert code == 2
         assert out == ""
         assert err == f"error: {var} must be an integer, got 'abc'\n"
+
+
+def test_table_workers_without_fork(capsys, monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(enumeration, "get_context", no_fork)
+    code, out, err = run(capsys, "table", "cnk", "--max-n", "6", "--workers", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: workers > 1 needs the 'fork' start method")
 
 
 def test_table_output_io_error(capsys):

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from seaweeds.compositions import (
@@ -131,3 +134,52 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_seaweed_type("2|4/1|x|3")
     assert e.value.position == 6
+
+
+def _scan(text):
+    """Part by part, character by character: the parts, or the
+    (message, position) of the first place the text goes wrong."""
+    if not text:
+        return "empty composition", 0
+    pos = 0
+    while True:
+        end = pos
+        while end < len(text) and text[end] in "0123456789":
+            end += 1
+        if end == pos or text[pos] == "0":
+            return f"expected part in {text!r}", pos
+        if end == len(text):
+            return [int(part) for part in text.split("|")]
+        if text[end] != "|":
+            return f"expected '|' in {text!r}", end
+        pos = end + 1
+
+
+def test_parse_composition_matches_scan():
+    rng = random.Random(20181808)
+    for _ in range(20000):
+        text = "".join(rng.choices("0123456789|x", k=rng.randint(0, 10)))
+        want = _scan(text)
+        if isinstance(want, list):
+            assert list(parse_composition(text).parts) == want, text
+            continue
+        message, position = want
+        with pytest.raises(ParseError) as e:
+            parse_composition(text)
+        assert e.value.position == position, text
+        assert str(e.value) == f"{message} (at position {position})", text
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int() reads any number of digits")
+def test_parse_part_too_long():
+    digits = sys.get_int_max_str_digits() + 1
+    part = "9" * digits
+    for text, position in ((part, 0), (f"2|{part}|3", 2), (f"{part}|x", 0)):
+        with pytest.raises(ParseError) as e:
+            parse_composition(text)
+        assert e.value.position == position
+        assert str(e.value).startswith(f"part of {digits} digits")
+    with pytest.raises(ParseError) as e:
+        parse_seaweed_type(f"{digits}/{part}")
+    assert e.value.position == len(str(digits)) + 1

@@ -21,7 +21,7 @@ from seaweeds.enumeration import (
     table_from_csv,
 )
 from seaweeds.compositions import SeaweedType, composition_from_bitmask
-from seaweeds.errors import LimitExceeded
+from seaweeds.errors import LimitExceeded, UsageError
 from seaweeds.meander import seaweed_index
 from seaweeds.winding import HomotopyType, homotopy_index
 
@@ -76,6 +76,55 @@ def test_census_pool_workers_take_default_sigterm(monkeypatch):
         assert census_cnk_exhaustive(8, workers=2) == {True: 2}
     finally:
         signal.signal(signal.SIGTERM, old)
+
+
+class _FakeContext:
+    """Stands in for the fork context: records the pool size it is asked
+    for and runs the jobs in this process."""
+
+    def __init__(self):
+        self.sizes, self.jobs = [], []
+
+    def Pool(self, processes, initializer=None):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        self.jobs.append(len(jobs))
+        return [fn(*job) for job in jobs]
+
+
+def test_census_pool_bounded_by_cpus(monkeypatch):
+    ctx = _FakeContext()
+    monkeypatch.setattr(enumeration, "get_context", lambda method: ctx)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    want = census_cnk_exhaustive(8)
+    assert census_cnk_exhaustive(8, workers=1000) == want
+    assert census_cnk_exhaustive(8, workers=2) == want
+    assert ctx.sizes == [3, 2]
+    assert ctx.jobs == [1000, 2]
+    # no affinity call: the CPU count bounds the pool
+    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
+    assert census_cnk_exhaustive(8, workers=1000) == want
+    assert ctx.sizes[-1] == 5
+
+
+def test_census_without_fork_is_a_usage_error(monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(enumeration, "get_context", no_fork)
+    with pytest.raises(UsageError):
+        census_cnk_exhaustive(8, workers=2)
+    assert census_cnk_exhaustive(8, workers=1) == census_cnk(8)
 
 
 def test_census_workers_run_exhaustive(monkeypatch):
