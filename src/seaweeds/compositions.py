@@ -3,8 +3,8 @@
 A composition of n is an ordered tuple of positive parts summing to n.  The
 compositions of n are in bijection with bitmasks in [0, 2^(n-1)): bit i-1 set
 means "cut between position i and i+1".  Mask order is the canonical
-enumeration order everywhere in this package, and a pair of compositions of n
-gets the single rank  top_mask * 2^(n-1) + bottom_mask.
+enumeration order everywhere in this package; pairs of compositions of n run
+top mask major, bottom mask minor.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class SeaweedType:
     def __str__(self) -> str:
         return format_seaweed_type(self)
 
-    def rank(self) -> int:
-        """Position in the canonical enumeration of all pairs for this n."""
-        return self.top.bitmask() << (self.n - 1) | self.bottom.bitmask()
-
 
 def composition_from_bitmask(n: int, mask: int) -> Composition:
     """Composition of n whose cut set is the given bitmask.
@@ -106,29 +102,12 @@ def all_compositions(n: int) -> Iterator[Composition]:
         yield composition_from_bitmask(n, mask)
 
 
-def all_pairs(
-    n: int, start_rank: int = 0, stop_rank: int | None = None
-) -> Iterator[SeaweedType]:
-    """Pairs of compositions of n in rank order, optionally a sub-range.
-
-    rank = top_mask * 2^(n-1) + bottom_mask; the full range is [0, 4^(n-1)).
-    """
-    half = 1 << (n - 1)
-    total = half * half
-    if stop_rank is None:
-        stop_rank = total
-    if not 0 <= start_rank <= stop_rank <= total:
-        raise ValueError(f"bad rank range [{start_rank}, {stop_rank}) for n={n}")
-    # cache decoded compositions: the same top repeats for half consecutive ranks
-    bottoms = [composition_from_bitmask(n, m) for m in range(half)]
-    rank = start_rank
-    while rank < stop_rank:
-        tmask, bmask = divmod(rank, half)
-        top = composition_from_bitmask(n, tmask)
-        run_stop = min(stop_rank, (tmask + 1) * half)
-        for b in range(bmask, run_stop - tmask * half):
-            yield SeaweedType(top, bottoms[b])
-        rank = run_stop
+def all_pairs(n: int) -> Iterator[SeaweedType]:
+    """All 4^(n-1) pairs of compositions of n, top mask major."""
+    comps = list(all_compositions(n))
+    for top in comps:
+        for bottom in comps:
+            yield SeaweedType(top, bottom)
 
 
 def parse_composition(text: str) -> Composition:

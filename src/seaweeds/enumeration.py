@@ -15,9 +15,10 @@ tables, counting only cycles with an integer visited-bitmask and using
     index = 2*cycles + n - E - 1
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E and 2*cycles + paths - 1 needs no path walked.  Its workers
-partition the pair-rank range [0, 4^(n-1)) into contiguous chunks; count maps
-merge commutatively, so the result never depends on the split.
+paths = n - E and 2*cycles + paths - 1 needs no path walked.  Its unit of
+work is a row: one top mask against every bottom mask.  Forked, it gives each
+process one contiguous range of top masks in [0, 2^(n-1)); count maps merge
+commutatively, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
@@ -40,7 +41,7 @@ from importlib import resources
 from math import gcd
 from multiprocessing import get_context
 
-from .compositions import Composition, SeaweedType, composition_from_bitmask
+from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
 from .errors import LimitExceeded, UsageError
 from .meander import _block_edges, seaweed_index
 from .winding import HomotopyType, _wind_homotopy, _wind_tally
@@ -78,6 +79,15 @@ def _check_census_limit(n: int) -> None:
         )
 
 
+def _check_c22_meander_limit(n: int) -> None:
+    limit = c22_meander_limit()
+    if n > limit:
+        raise LimitExceeded(
+            f"c22 meander oracle at n={n} exceeds the limit n <= {limit} "
+            f"(set {C22_MEANDER_LIMIT_ENV} to override)"
+        )
+
+
 def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
     """Per-mask partner tables (0-based; partner[v] == v when unpaired) and
     arc counts."""
@@ -94,8 +104,8 @@ def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
-                   arcs: list[int], bstart: int, bstop: int) -> list[int]:
-    """Graph index of top table T over each bottom mask in [bstart, bstop).
+                   arcs: list[int]) -> list[int]:
+    """Graph index of top table T over each bottom mask, in mask order.
 
     A walk starts at each unvisited vertex and goes one way only, so every
     vertex is visited once; a walk that returns to its start closes a cycle.
@@ -103,8 +113,7 @@ def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
     """
     base = n - tarcs - 1
     out = []
-    for bmask in range(bstart, bstop):
-        B = partners[bmask]
+    for B, barcs in zip(partners, arcs):
         vis = 0
         cycles = 0
         for v in range(n):
@@ -125,23 +134,19 @@ def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
                 vis |= m
                 cur = nxt
                 lay, oth = oth, lay
-        out.append(2 * cycles + base - arcs[bmask])
+        out.append(2 * cycles + base - barcs)
     return out
 
 
-def _census_range(n: int, start: int, stop: int) -> dict[int, int]:
-    """Index tally over pair ranks [start, stop); the parallel work unit."""
+def _census_rows(n: int, tstart: int, tstop: int) -> dict[int, int]:
+    """Index tally over the rows of top masks [tstart, tstop); the parallel
+    work unit."""
     partners, arcs = _mask_tables(n)
-    half = 1 << (n - 1)
     counts: dict[int, int] = {}
-    rank = start
-    while rank < stop:
-        tmask, bstart = divmod(rank, half)
-        bstop = min(half, bstart + (stop - rank))
+    for tmask in range(tstart, tstop):
         for idx in _graph_indices(n, partners[tmask], arcs[tmask], partners,
-                                  arcs, bstart, bstop):
+                                  arcs):
             counts[idx] = counts.get(idx, 0) + 1
-        rank += bstop - bstart
     return counts
 
 
@@ -179,39 +184,32 @@ def _worker_init() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _pool_size(workers: int) -> int:
-    """Processes to start for `workers` jobs: no more than the usable CPUs."""
+def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
+    """Reference path: census_cnk by walking every pair's meander, forked
+    over min(workers, usable CPUs, 2^(n-1)) processes, one contiguous range
+    of top masks each."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_census_limit(n)
+    if workers > 1:  # before counting CPUs: no fork is an error on any host
+        try:
+            ctx = get_context("fork")
+        except ValueError:
+            raise UsageError(
+                "workers > 1 needs the 'fork' start method, which this platform lacks"
+            ) from None
+    half = 1 << (n - 1)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(workers, cpus)
-
-
-def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
-    """Reference path: census_cnk by walking every pair's meander, split into
-    `workers` jobs forked over at most as many processes as there are CPUs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_census_limit(n)
-    total = 1 << (2 * (n - 1))
-    if workers <= 1 or total < 4 * workers:
-        return _census_range(n, 0, total)
-    chunk, extra = divmod(total, workers)
-    jobs = []
-    pos = 0
-    for w in range(workers):
-        size = chunk + (1 if w < extra else 0)
-        jobs.append((n, pos, pos + size))
-        pos += size
-    try:
-        ctx = get_context("fork")
-    except ValueError:
-        raise UsageError(
-            "workers > 1 needs the 'fork' start method, which this platform lacks"
-        ) from None
-    with ctx.Pool(_pool_size(workers), initializer=_worker_init) as pool:
-        parts = pool.starmap(_census_range, jobs)
+    procs = min(workers, cpus, half)
+    if procs <= 1:
+        return _census_rows(n, 0, half)
+    cuts = [half * p // procs for p in range(procs + 1)]
+    jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    with ctx.Pool(procs, initializer=_worker_init) as pool:
+        parts = pool.starmap(_census_rows, jobs)
     return merge_counts(parts)
 
 
@@ -221,12 +219,9 @@ def census_cnk_naive(n: int) -> dict[int, int]:
         raise ValueError("n must be >= 1")
     _check_census_limit(n)
     counts: dict[int, int] = {}
-    half = 1 << (n - 1)
-    comps = [composition_from_bitmask(n, m) for m in range(half)]
-    for top in comps:
-        for bottom in comps:
-            idx = seaweed_index(SeaweedType(top, bottom))
-            counts[idx] = counts.get(idx, 0) + 1
+    for st in all_pairs(n):
+        idx = seaweed_index(st)
+        counts[idx] = counts.get(idx, 0) + 1
     return counts
 
 
@@ -252,12 +247,7 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     if oracle not in ("gcd", "meander"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle == "meander":
-        limit = c22_meander_limit()
-        if n > limit:
-            raise LimitExceeded(
-                f"meander oracle bounded at n <= {limit} "
-                f"(set {C22_MEANDER_LIMIT_ENV} to override)"
-            )
+        _check_c22_meander_limit(n)
     counts: dict[int, int] = {}
     for a in range(1, n):
         for c in range(1, n):
@@ -381,11 +371,8 @@ def build_table(
     # fail fast before any row is computed
     if kind == "cnk":
         _check_census_limit(max_n)
-    elif kind == "c22" and oracle == "meander" and max_n > c22_meander_limit():
-        raise LimitExceeded(
-            f"n={max_n} exceeds the meander-oracle limit {c22_meander_limit()}; "
-            f"raise {C22_MEANDER_LIMIT_ENV} to override"
-        )
+    elif kind == "c22" and oracle == "meander":
+        _check_c22_meander_limit(max_n)
     rows = {}
     for n in range(min_n, max_n + 1):
         if kind == "cnk":

@@ -337,7 +337,7 @@ def suite_winding() -> VerifySuiteReport:
             for tmask in range(half):
                 tp = parts[tmask]
                 graph = _graph_indices(n, partners[tmask], arcs[tmask],
-                                       partners, arcs, 0, half)
+                                       partners, arcs)
                 for bmask, graph_index in enumerate(graph):
                     wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
                     if graph_index != wind_index:

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from seaweeds import cli, enumeration, meander
+from seaweeds.errors import LimitExceeded
 
 
 def run(capsys, *argv):
@@ -34,10 +35,14 @@ def test_index_parse_error(capsys):
     assert "error:" in err
 
 
-@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+# Python < 3.10.7 has no digit limit (and no function to read it)
+_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_MAX_STR_DIGITS == 0,
                     reason="int() reads any number of digits")
 def test_index_part_too_long(capsys):
-    part = "1" + "0" * sys.get_int_max_str_digits()
+    part = "1" + "0" * _MAX_STR_DIGITS
     code, out, err = run(capsys, "index", f"{part}/{part}")
     assert code == 2
     assert out == ""
@@ -128,6 +133,17 @@ def test_table_over_limit(capsys):
     assert "error:" in err
 
 
+def test_table_c22_meander_over_limit(capsys, monkeypatch):
+    monkeypatch.delenv("SEAWEEDS_C22_MEANDER_LIMIT", raising=False)
+    with pytest.raises(LimitExceeded) as e:
+        enumeration.census_c22(51, "meander")
+    code, out, err = run(capsys, "table", "c22", "--oracle", "meander",
+                         "--max-n", "51")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {e.value}\n"
+
+
 @pytest.mark.parametrize("kind,max_n", [("cnk", "0"), ("c21", "1"), ("c22", "1")])
 def test_table_max_n_below_minimum(capsys, kind, max_n):
     code, out, err = run(capsys, "table", kind, "--max-n", max_n)
@@ -170,6 +186,20 @@ def test_table_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "cnk", "--max-n", "3", "--output", str(dest))
     assert code == 0
     assert dest.read_text().splitlines()[0] == "n,k,count"
+
+
+@pytest.mark.parametrize("argv", [("wind", "2|4/1|2"), ("render", "3/2")])
+def test_wind_render_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_render_output_io_error(capsys):
+    code, _, err = run(capsys, "render", "4/4", "--output", "/nonexistent/x.svg")
+    assert code == 4
+    assert err.startswith("error:")
 
 
 def test_render_svg(capsys):

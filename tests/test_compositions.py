@@ -64,21 +64,10 @@ def test_all_compositions_order_and_count():
 def test_all_pairs_count_and_rank_order():
     pairs = list(all_pairs(5))
     assert len(pairs) == 256
-    assert [p.rank() for p in pairs] == list(range(256))
+    assert [(p.top.bitmask(), p.bottom.bitmask()) for p in pairs] == [
+        divmod(i, 16) for i in range(256)
+    ]
     assert pairs[0].top.parts == (5,) and pairs[0].bottom.parts == (5,)
-
-
-def test_all_pairs_partitioning():
-    whole = [str(p) for p in all_pairs(4)]
-    cuts = [0, 7, 7, 20, 64]
-    chunks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        chunks.extend(str(p) for p in all_pairs(4, lo, hi))
-    assert chunks == whole
-    with pytest.raises(ValueError):
-        list(all_pairs(4, 5, 3))
-    with pytest.raises(ValueError):
-        list(all_pairs(4, 0, 65))
 
 
 def test_composition_validation():
@@ -170,10 +159,14 @@ def test_parse_composition_matches_scan():
         assert str(e.value) == f"{message} (at position {position})", text
 
 
-@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+# Python < 3.10.7 has no digit limit (and no function to read it)
+_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_MAX_STR_DIGITS == 0,
                     reason="int() reads any number of digits")
 def test_parse_part_too_long():
-    digits = sys.get_int_max_str_digits() + 1
+    digits = _MAX_STR_DIGITS + 1
     part = "9" * digits
     for text, position in ((part, 0), (f"2|{part}|3", 2), (f"{part}|x", 0)):
         with pytest.raises(ParseError) as e:

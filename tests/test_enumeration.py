@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import signal
 import sys
 
@@ -63,14 +64,33 @@ def test_census_parallel_agrees():
     assert census_cnk_exhaustive(8, workers=3) == census_cnk_exhaustive(8, workers=1)
 
 
-def _sigterm_is_default(n, start, stop):
+def test_census_rows_split_anywhere():
+    # the pool cuts [0, 2^(n-1)) into one top-mask range per process; any
+    # cuts, empty ranges included, merge to the same row
+    rng = random.Random(6)
+    for n in range(1, 8):
+        half = 1 << (n - 1)
+        want = census_cnk_naive(n)
+        assert enumeration._census_rows(n, 0, half) == want
+        for _ in range(4):
+            inner = sorted(rng.randint(0, half) for _ in range(rng.randint(1, 5)))
+            cuts = [0] + inner + [half]
+            parts = [enumeration._census_rows(n, lo, hi)
+                     for lo, hi in zip(cuts, cuts[1:])]
+            assert merge_counts(parts) == want, (n, cuts)
+        assert enumeration._census_rows(n, half, half) == {}
+
+
+def _sigterm_is_default(n, tstart, tstop):
     return {signal.getsignal(signal.SIGTERM) == signal.SIG_DFL: 1}
 
 
 def test_census_pool_workers_take_default_sigterm(monkeypatch):
     # leaving the pool stops its workers with SIGTERM; a caller's
     # Python-level handler inherited through fork can miss it and hang
-    monkeypatch.setattr(enumeration, "_census_range", _sigterm_is_default)
+    monkeypatch.setattr(enumeration, "_census_rows", _sigterm_is_default)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
     old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     try:
         assert census_cnk_exhaustive(8, workers=2) == {True: 2}
@@ -109,7 +129,7 @@ def test_census_pool_bounded_by_cpus(monkeypatch):
     assert census_cnk_exhaustive(8, workers=1000) == want
     assert census_cnk_exhaustive(8, workers=2) == want
     assert ctx.sizes == [3, 2]
-    assert ctx.jobs == [1000, 2]
+    assert ctx.jobs == [3, 2]
     # no affinity call: the CPU count bounds the pool
     monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
@@ -148,14 +168,10 @@ def test_graph_indices_match_seaweed_index_per_pair():
         comps = [composition_from_bitmask(n, m) for m in range(half)]
         for tmask in range(half):
             got = enumeration._graph_indices(n, partners[tmask], arcs[tmask],
-                                             partners, arcs, 0, half)
+                                             partners, arcs)
             want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                     for bottom in comps]
             assert got == want
-            lo, hi = half // 3, half - half // 4
-            assert enumeration._graph_indices(
-                n, partners[tmask], arcs[tmask], partners, arcs, lo, hi
-            ) == want[lo:hi]
 
 
 def test_merge_counts():
@@ -231,9 +247,18 @@ def test_census_limit_env(monkeypatch):
 def test_c22_meander_limit_env(monkeypatch):
     monkeypatch.setenv("SEAWEEDS_C22_MEANDER_LIMIT", "6")
     census_c22(6, oracle="meander")
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded) as direct:
         census_c22(7, oracle="meander")
     census_c22(7, oracle="gcd")  # only the quadratic meander path is limited
+    # a table checks its last row before it computes the first, with the
+    # same message
+    rows = []
+    monkeypatch.setattr(enumeration, "census_c22",
+                        lambda n, oracle: rows.append(n) or {})
+    with pytest.raises(LimitExceeded) as table:
+        build_table("c22", 7, oracle="meander")
+    assert str(table.value) == str(direct.value)
+    assert rows == []
 
 
 def test_table_csv_round_trip():
