@@ -149,10 +149,9 @@ def parse_seaweed_type(text: str) -> SeaweedType:
     top = parse_composition(top_text)
     try:
         bottom = parse_composition(bottom_text)
-    except ParseError as e:
-        offset = len(top_text) + 1
-        pos = None if e.position is None else offset + e.position
-        raise ParseError(str(e).split(" (at position")[0], pos) from None
+    except ParseError as e:  # shift the position past "top/"
+        pos = None if e.position is None else len(top_text) + 1 + e.position
+        raise ParseError(e.message, pos) from None
     try:
         return SeaweedType(top, bottom)
     except ValueError as e:

@@ -10,7 +10,8 @@ the graph index, which the exhaustive path checks row by row.
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
 runs it: it walks every pair through its meander (_graph_indices, which
 verify's per-pair winding check shares), on precomputed per-mask partner
-tables, counting only cycles with an integer visited-bitmask and using
+tables (1-based, as meander._partners builds them for component_summary),
+counting only cycles with an integer visited-bitmask and using
 
     index = 2*cycles + n - E - 1
 
@@ -43,7 +44,7 @@ from multiprocessing import get_context
 
 from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
 from .errors import LimitExceeded, UsageError
-from .meander import _block_edges, seaweed_index
+from .meander import _block_edges, _partners, seaweed_index
 from .winding import HomotopyType, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
@@ -89,16 +90,12 @@ def _check_c22_meander_limit(n: int) -> None:
 
 
 def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
-    """Per-mask partner tables (0-based; partner[v] == v when unpaired) and
-    arc counts."""
+    """Per-mask partner tables (meander._partners) and arc counts."""
     partners = []
     arc_counts = []
     for mask in range(1 << (n - 1)):
         edges = _block_edges(composition_from_bitmask(n, mask).parts)
-        ptr = list(range(n))
-        for j, k in edges:
-            ptr[j - 1], ptr[k - 1] = k - 1, j - 1
-        partners.append(ptr)
+        partners.append(_partners(n, edges))
         arc_counts.append(len(edges))
     return partners, arc_counts
 
@@ -116,7 +113,7 @@ def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
     for B, barcs in zip(partners, arcs):
         vis = 0
         cycles = 0
-        for v in range(n):
+        for v in range(1, n + 1):
             if vis >> v & 1:
                 continue
             vis |= 1 << v
@@ -368,6 +365,8 @@ def build_table(
     min_n = _MIN_N[kind]
     if max_n < min_n:
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     # fail fast before any row is computed
     if kind == "cnk":
         _check_census_limit(max_n)

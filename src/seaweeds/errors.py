@@ -4,13 +4,14 @@
 class ParseError(ValueError):
     """Malformed text for a composition, seaweed type, signature, or polynomial.
 
-    Carries ``position`` (0-based offset into the input) when known.
+    Carries the bare ``message`` and ``position`` (0-based offset into the
+    input) when known; str() appends the position to the message.
     """
 
     def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(message if position is None
+                         else f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

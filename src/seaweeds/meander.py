@@ -62,48 +62,45 @@ def build_meander(t: SeaweedType) -> Meander:
     )
 
 
-def component_summary(m: Meander) -> ComponentSummary:
-    """Walk the graph.  Components are reported in order of lowest vertex."""
-    top = [0] * (m.n + 1)  # partner via top arc, 0 = none
-    bot = [0] * (m.n + 1)
-    for j, k in m.top_edges:
-        top[j], top[k] = k, j
-    for j, k in m.bottom_edges:
-        bot[j], bot[k] = k, j
+def _partners(n: int, edges) -> list[int]:
+    """One arc layer as a 1-based table: ptr[v] is v's partner, or v if none."""
+    ptr = list(range(n + 1))
+    for j, k in edges:
+        ptr[j], ptr[k] = k, j
+    return ptr
 
-    seen = [False] * (m.n + 1)
-    cycles = 0
-    paths = 0
-    comps = []
-    for start in range(1, m.n + 1):
-        if seen[start]:
-            continue
-        # follow the path/cycle in both directions, alternating arc layers
-        verts = {start}
-        seen[start] = True
-        is_cycle = False
-        for first in (top, bot):
-            layer, other = first, (bot if first is top else top)
+
+def component_summary(m: Meander) -> ComponentSummary:
+    """Walk the graph.  Components are reported in order of lowest vertex.
+
+    Every vertex is visited once, by walks that go one way: one from an end of
+    each path (a vertex with no arc in some layer), then one round each cycle.
+    enumeration._graph_indices walks alike but only counts cycles, in a
+    bitmask; one walk for both would branch on its caller.
+    """
+    top = _partners(m.n, m.top_edges)
+    bot = _partners(m.n, m.bottom_edges)
+    comp_of = [None] * (m.n + 1)  # the list that will hold v's component
+    for ends_only in (True, False):
+        for start in range(1, m.n + 1):
+            if (comp_of[start] is not None
+                    or ends_only and top[start] != start != bot[start]):
+                continue
+            lay, oth = (bot, top) if top[start] == start else (top, bot)
+            comp = []
             v = start
-            while True:
-                w = layer[v]
-                if w == 0:
-                    break
-                if w in verts:
-                    is_cycle = True  # closed back on the start
-                    break
-                verts.add(w)
-                seen[w] = True
-                v = w
-                layer, other = other, layer
-            if is_cycle:
-                break
-        if is_cycle:
-            cycles += 1
-        else:
-            paths += 1
-        comps.append(tuple(sorted(verts)))
-    return ComponentSummary(cycles=cycles, paths=paths, components=tuple(comps))
+            while comp_of[v] is None:
+                comp_of[v] = comp
+                v = lay[v]
+                lay, oth = oth, lay
+    comps = []
+    for v in range(1, m.n + 1):  # in vertex order: each list comes out sorted
+        if not comp_of[v]:
+            comps.append(comp_of[v])
+        comp_of[v].append(v)
+    # a cycle of v vertices has v arcs, a path v - 1
+    paths = m.n - len(m.top_edges) - len(m.bottom_edges)
+    return ComponentSummary(len(comps) - paths, paths, tuple(map(tuple, comps)))
 
 
 def seaweed_index(t: SeaweedType) -> int:

@@ -2,7 +2,9 @@
 
 Each suite runs a fixed list of named checks at documented desk-scale bounds
 and returns a VerifySuiteReport; a suite passes iff all its checks pass.  A
-check that raises is reported as a failure, not a crash.  Full-pair censuses
+check that raises is reported as a failure, not a crash, except that a
+census refused by its limit (LimitExceeded) stops the suite: it disproves
+nothing, so the CLI exits 3 as for any other command.  Full-pair censuses
 are memoized per process so `verify all` pays for each n only once.
 """
 
@@ -21,6 +23,7 @@ from .enumeration import (
     census_cnk_exhaustive,
     load_golden,
 )
+from .errors import LimitExceeded
 from .formulas import (
     c21,
     c22,
@@ -95,6 +98,8 @@ def _run(checks: list[CheckResult], name: str, fn) -> None:
     start = time.perf_counter()
     try:
         passed, detail = fn()
+    except LimitExceeded:
+        raise
     except Exception as e:  # a broken check is a failed check
         passed, detail = False, f"raised {type(e).__name__}: {e}"
     checks.append(CheckResult(name, passed, detail, time.perf_counter() - start))

@@ -190,37 +190,31 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
     state in `memo`, which the caller owns and drops: the returned dicts are
     shared between states and must not be mutated.
     """
-    if not top:
-        if not m:
-            return {0: 1}
-        key = (m, top, bottom)
-        got = memo.get(key)
-        if got is None:
-            got = {}
-            for a in range(1, m + 1):
-                for s, v in _wind_tally(m, (a,), bottom, memo).items():
-                    got[s] = got.get(s, 0) + v
-            memo[key] = got
-        return got
-    if not bottom:
-        return _wind_tally(m, bottom, top, memo)
-    a, b = top[0], bottom[0]
-    if a < b:  # F
-        return _wind_tally(m, bottom, top, memo)
+    if top and (not bottom or top[0] < bottom[0]):  # F
+        top, bottom = bottom, top
+    if not m:
+        return {0: 1}
     key = (m, top, bottom)
     got = memo.get(key)
     if got is not None:
         return got
-    if a == b:  # C(a)
-        got = {s + a: v for s, v in
-               _wind_tally(m - a, top[1:], bottom[1:], memo).items()}
-    elif a < 2 * b:  # R
-        got = _wind_tally(m - (a - b), (b,) + top[1:], (2 * b - a,) + bottom[1:],
-                          memo)
-    elif a == 2 * b:  # B
-        got = _wind_tally(m - b, (b,) + top[1:], bottom[1:], memo)
-    else:  # P
-        got = _wind_tally(m - b, (a - 2 * b, b) + top[1:], bottom[1:], memo)
+    if not top:
+        got = {}
+        for a in range(1, m + 1):
+            for s, v in _wind_tally(m, (a,), bottom, memo).items():
+                got[s] = got.get(s, 0) + v
+    else:
+        a, b = top[0], bottom[0]
+        if a == b:  # C(a)
+            got = {s + a: v for s, v in
+                   _wind_tally(m - a, top[1:], bottom[1:], memo).items()}
+        elif a < 2 * b:  # R
+            got = _wind_tally(m - (a - b), (b,) + top[1:],
+                              (2 * b - a,) + bottom[1:], memo)
+        elif a == 2 * b:  # B
+            got = _wind_tally(m - b, (b,) + top[1:], bottom[1:], memo)
+        else:  # P
+            got = _wind_tally(m - b, (a - 2 * b, b) + top[1:], bottom[1:], memo)
     memo[key] = got
     return got
 

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from seaweeds import cli, enumeration, meander
+from seaweeds import cli, enumeration, meander, verify
 from seaweeds.errors import LimitExceeded
 
 
@@ -33,6 +33,14 @@ def test_index_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_bottom_parse_error_keeps_echoed_text(capsys):
+    # the echoed bottom side itself contains the phrase the position uses
+    code, out, err = run(capsys, "index", "2|2/1 (at position 9)|3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected '|' in '1 (at position 9)|3' (at position 5)\n"
 
 
 # Python < 3.10.7 has no digit limit (and no function to read it)
@@ -173,6 +181,19 @@ def test_table_workers_without_fork(capsys, monkeypatch):
     assert err.startswith("error: workers > 1 needs the 'fork' start method")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_table_workers_below_one(capsys, monkeypatch, workers):
+    def no_row(n, workers=1):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(enumeration, "census_cnk", no_row)
+    code, out, err = run(capsys, "table", "cnk", "--max-n", "4",
+                         "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_table_output_io_error(capsys):
     code, _, err = run(
         capsys, "table", "cnk", "--max-n", "2", "--output", "/nonexistent/dir/t.csv"
@@ -240,6 +261,18 @@ def test_verify_gf(capsys):
     code, out, _ = run(capsys, "verify", "gf")
     assert code == 0
     assert "suite gf: passed" in out
+
+
+def test_verify_refused_census_exits_3(capsys, monkeypatch):
+    # a census the limit refuses disproves no formula: exit 3, not 1
+    monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "5")
+    monkeypatch.setattr(verify, "_cnk_cache", {})
+    with pytest.raises(LimitExceeded) as e:
+        enumeration.census_cnk_exhaustive(6)
+    code, out, err = run(capsys, "verify", "formulas")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {e.value}\n"
 
 
 def test_unknown_command():

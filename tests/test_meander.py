@@ -63,6 +63,39 @@ def test_component_order_is_by_lowest_vertex():
     assert all(list(c) == sorted(c) for c in s.components)
 
 
+def test_components_against_the_edges():
+    # an oracle from the arc lists alone, not from any walk
+    for n in range(1, 8):
+        for st in all_pairs(n):
+            m = build_meander(st)
+            edges = m.top_edges + m.bottom_edges
+            top = dict(m.top_edges + tuple((k, j) for j, k in m.top_edges))
+            bot = dict(m.bottom_edges + tuple((k, j) for j, k in m.bottom_edges))
+            low = list(range(n + 1))  # lowest vertex joined to v, relaxed
+            changed = True
+            while changed:
+                changed = False
+                for j, k in edges:
+                    if low[j] != low[k]:
+                        low[j] = low[k] = min(low[j], low[k])
+                        changed = True
+            s = component_summary(m)
+            flat = [v for comp in s.components for v in comp]
+            assert sorted(flat) == list(range(1, n + 1)), st
+            cycles = 0
+            for comp in s.components:
+                assert list(comp) == sorted(comp), st
+                assert all(low[v] == comp[0] for v in comp), st  # connected
+                for layer in (top, bot):
+                    assert all(layer.get(v, v) in comp for v in comp), st
+                cycles += all(v in top and v in bot for v in comp)
+            assert s.cycles == cycles, st
+            assert s.paths == n - len(edges), st
+            assert s.paths == len(s.components) - cycles, st
+            firsts = [comp[0] for comp in s.components]
+            assert firsts == sorted(firsts), st
+
+
 def test_index_examples():
     assert seaweed_index(parse_seaweed_type("2|4/1|2|3")) == 0
     assert seaweed_index(parse_seaweed_type("4/4")) == 3
