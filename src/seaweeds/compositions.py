@@ -13,7 +13,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError
+from .errors import LimitExceeded, ParseError
+
+# A parsed type builds n vertices and up to n arcs (index, wind, render):
+# refuse larger n before any is built.  n = 10^6 takes seconds and a few
+# hundred MB, far above the desk-scale types the commands serve.
+MAX_TYPE_N = 10**6
 
 _PART_RE = re.compile(r"[1-9][0-9]*")
 _COMPOSITION_RE = re.compile(r"[1-9][0-9]*(?:\|[1-9][0-9]*)*")
@@ -142,7 +147,10 @@ def parse_composition(text: str) -> Composition:
 
 
 def parse_seaweed_type(text: str) -> SeaweedType:
-    """Parse ``top/bottom`` where each side is a composition."""
+    """Parse ``top/bottom`` where each side is a composition.
+
+    A well-formed type whose n exceeds MAX_TYPE_N raises LimitExceeded.
+    """
     if text.count("/") != 1:
         raise ParseError(f"expected exactly one '/' in {text!r}")
     top_text, bottom_text = text.split("/")
@@ -153,9 +161,14 @@ def parse_seaweed_type(text: str) -> SeaweedType:
         pos = None if e.position is None else len(top_text) + 1 + e.position
         raise ParseError(e.message, pos) from None
     try:
-        return SeaweedType(top, bottom)
+        st = SeaweedType(top, bottom)
     except ValueError as e:
         raise ParseError(str(e)) from None
+    if st.n > MAX_TYPE_N:
+        raise LimitExceeded(
+            f"type of n={st.n} exceeds the limit n <= {MAX_TYPE_N}"
+        )
+    return st
 
 
 def format_composition(c: Composition) -> str:

@@ -8,15 +8,15 @@ sum(C-values) - 1, so a row costs a few thousand memoized states instead of
 the graph index, which the exhaustive path checks row by row.
 
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
-runs it: it walks every pair through its meander (_graph_indices, which
-verify's per-pair winding check shares), on precomputed per-mask partner
-tables (1-based, as meander._partners builds them for component_summary),
-counting only cycles with an integer visited-bitmask and using
+runs it: per top partner table (1-based, as meander._partners builds it),
+_graph_indices (shared with verify's per-pair winding check) grows the bottom
+compositions as a prefix tree, adding each block's arcs once for all that
+share the prefix, and joins path ends arc by arc, at amortized O(1) a pair:
 
     index = 2*cycles + n - E - 1
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E and 2*cycles + paths - 1 needs no path walked.  Its unit of
+paths = n - E and 2*cycles + paths - 1 needs no path counted.  Its unit of
 work is a row: one top mask against every bottom mask.  Forked, it gives each
 process one contiguous range of top masks in [0, 2^(n-1)); count maps merge
 commutatively, so the result never depends on the split.
@@ -38,6 +38,7 @@ import json
 import os
 import signal
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import gcd
 from multiprocessing import get_context
@@ -100,38 +101,57 @@ def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
     return partners, arc_counts
 
 
-def _graph_indices(n: int, T: list[int], tarcs: int, partners: list[list[int]],
-                   arcs: list[int]) -> list[int]:
+@cache
+def _bottom_blocks(n: int) -> tuple:
+    """The prefix tree of bottom compositions of n, as blocks by start.
+
+    Entry p lists each block p+1..q as (q, the mask bit of the cut after q,
+    or 0 when q == n, and the block's arcs: one part of q - p shifted by p).
+    """
+    def block(p, q):
+        arcs = tuple((j + p, k + p) for j, k in _block_edges((q - p,)))
+        return q, 1 << (q - 1) if q < n else 0, arcs
+
+    return tuple(tuple(block(p, q) for q in range(p + 1, n + 1))
+                 for p in range(n))
+
+
+def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
     """Graph index of top table T over each bottom mask, in mask order.
 
-    A walk starts at each unvisited vertex and goes one way only, so every
-    vertex is visited once; a walk that returns to its start closes a cycle.
-    Paths need no count: paths = n - E.
+    Depth first over _bottom_blocks, a node holds a path-end array, seeded
+    with T (end[u] = far end of the path ending at u), and the running value
+    n - tarcs - 1 + 2*cycles - barcs.  A bottom arc (u, w) closes a cycle if
+    end[u] == w (+1); else the far ends x, y of u and w now end one path
+    (end[x], end[y] = y, x; -1).  At a leaf the value is the index, since
+    paths = n - E.  Only blocks with arcs copy the array, so T is never
+    written; a node at n - 1 is stored at once (its lone vertex has no arc).
     """
-    base = n - tarcs - 1
-    out = []
-    for B, barcs in zip(partners, arcs):
-        vis = 0
-        cycles = 0
-        for v in range(1, n + 1):
-            if vis >> v & 1:
-                continue
-            vis |= 1 << v
-            cur = v
-            lay, oth = T, B
-            while True:
-                nxt = lay[cur]
-                if nxt == cur:
-                    break
-                m = 1 << nxt
-                if vis & m:
-                    if nxt == v:
-                        cycles += 1
-                    break
-                vis |= m
-                cur = nxt
-                lay, oth = oth, lay
-        out.append(2 * cycles + base - barcs)
+    blocks = _bottom_blocks(n)
+    out = [0] * (1 << (n - 1))
+    stop = n - 1
+    stack = [(0, 0, T, n - tarcs - 1)]
+    while stack:
+        p, mask, end, val = stack.pop()
+        for q, bit, arcs in blocks[p]:
+            if arcs:
+                e = end[:]
+                v = val
+                for u, w in arcs:
+                    x = e[u]
+                    if x == w:
+                        v += 1
+                    else:
+                        y = e[w]
+                        e[x] = y
+                        e[y] = x
+                        v -= 1
+            else:
+                e, v = end, val
+            if q < stop:
+                stack.append((q, mask | bit, e, v))
+            else:
+                out[mask | bit] = v
     return out
 
 
@@ -141,8 +161,7 @@ def _census_rows(n: int, tstart: int, tstop: int) -> dict[int, int]:
     partners, arcs = _mask_tables(n)
     counts: dict[int, int] = {}
     for tmask in range(tstart, tstop):
-        for idx in _graph_indices(n, partners[tmask], arcs[tmask], partners,
-                                  arcs):
+        for idx in _graph_indices(n, partners[tmask], arcs[tmask]):
             counts[idx] = counts.get(idx, 0) + 1
     return counts
 
@@ -182,7 +201,7 @@ def _worker_init() -> None:
 
 
 def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
-    """Reference path: census_cnk by walking every pair's meander, forked
+    """Reference path: census_cnk from every pair's meander, forked
     over min(workers, usable CPUs, 2^(n-1)) processes, one contiguous range
     of top masks each."""
     if n < 1:

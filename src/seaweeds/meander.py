@@ -75,8 +75,9 @@ def component_summary(m: Meander) -> ComponentSummary:
 
     Every vertex is visited once, by walks that go one way: one from an end of
     each path (a vertex with no arc in some layer), then one round each cycle.
-    enumeration._graph_indices walks alike but only counts cycles, in a
-    bitmask; one walk for both would branch on its caller.
+    Paths are not counted on the walk: paths = n - E (E arcs in both layers).
+    The census kernel enumeration._graph_indices walks nothing: it joins path
+    ends arc by arc, which counts cycles but lists no vertex sets.
     """
     top = _partners(m.n, m.top_edges)
     bot = _partners(m.n, m.bottom_edges)

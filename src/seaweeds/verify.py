@@ -341,8 +341,7 @@ def suite_winding() -> VerifySuiteReport:
             parts = [composition_from_bitmask(n, m).parts for m in range(half)]
             for tmask in range(half):
                 tp = parts[tmask]
-                graph = _graph_indices(n, partners[tmask], arcs[tmask],
-                                       partners, arcs)
+                graph = _graph_indices(n, partners[tmask], arcs[tmask])
                 for bmask, graph_index in enumerate(graph):
                     wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
                     if graph_index != wind_index:

@@ -217,6 +217,20 @@ def test_wind_render_parse_error(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["index", "wind", "render"])
+def test_type_over_limit(capsys, monkeypatch, command):
+    # refused when parsed, before a single arc is built
+    def no_arcs(parts):
+        raise AssertionError("arcs built for a refused type")
+
+    monkeypatch.setattr(meander, "_block_edges", no_arcs)
+    code, out, err = run(capsys, command, "9999999999/9999999999")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: type of n=9999999999 exceeds the limit "
+                   "n <= 1000000\n")
+
+
 def test_render_output_io_error(capsys):
     code, _, err = run(capsys, "render", "4/4", "--output", "/nonexistent/x.svg")
     assert code == 4

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from seaweeds.compositions import (
+    MAX_TYPE_N,
     Composition,
     SeaweedType,
     all_compositions,
@@ -14,7 +15,7 @@ from seaweeds.compositions import (
     parse_composition,
     parse_seaweed_type,
 )
-from seaweeds.errors import ParseError
+from seaweeds.errors import LimitExceeded, ParseError
 
 
 def compositions_recursive(n):
@@ -114,6 +115,16 @@ def test_parse_seaweed_type_rejects():
         parse_seaweed_type("2|4/1|2")  # sums 6 vs 3
     with pytest.raises(ParseError):
         parse_seaweed_type("2|4/")
+
+
+def test_parse_seaweed_type_bounds_n():
+    assert MAX_TYPE_N == 10**6
+    assert parse_seaweed_type(f"{MAX_TYPE_N}/1|{MAX_TYPE_N - 1}").n == MAX_TYPE_N
+    with pytest.raises(LimitExceeded) as e:
+        parse_seaweed_type(f"{MAX_TYPE_N}|1/{MAX_TYPE_N + 1}")
+    assert str(e.value) == "type of n=1000001 exceeds the limit n <= 1000000"
+    with pytest.raises(ParseError):  # unequal sums stay a parse error
+        parse_seaweed_type("9999999999/1")
 
 
 def test_parse_error_positions():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -23,7 +24,7 @@ from seaweeds.enumeration import (
 )
 from seaweeds.compositions import SeaweedType, composition_from_bitmask
 from seaweeds.errors import LimitExceeded, UsageError
-from seaweeds.meander import seaweed_index
+from seaweeds.meander import _block_edges, _partners, seaweed_index
 from seaweeds.winding import HomotopyType, homotopy_index
 
 
@@ -167,11 +168,38 @@ def test_graph_indices_match_seaweed_index_per_pair():
         half = 1 << (n - 1)
         comps = [composition_from_bitmask(n, m) for m in range(half)]
         for tmask in range(half):
-            got = enumeration._graph_indices(n, partners[tmask], arcs[tmask],
-                                             partners, arcs)
+            got = enumeration._graph_indices(n, partners[tmask], arcs[tmask])
             want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                     for bottom in comps]
             assert got == want
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_graph_indices_match_seaweed_index_at_verify_depth(n):
+    # verify's formulas check runs the kernel up to n = 12; a few seeded rows
+    # there, every bottom mask against component_summary's own walk
+    rng = random.Random(n)
+    half = 1 << (n - 1)
+    comps = [composition_from_bitmask(n, m) for m in range(half)]
+    for tmask in [0, half - 1] + rng.sample(range(1, half - 1), 2):
+        edges = _block_edges(comps[tmask].parts)
+        got = enumeration._graph_indices(n, _partners(n, edges), len(edges))
+        want = [seaweed_index(SeaweedType(comps[tmask], bottom))
+                for bottom in comps]
+        assert got == want, tmask
+
+
+def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
+    # the kernel seeds its path-end array with the top table itself; a write
+    # to it would not show in any tally, so compare the tables
+    for n in range(1, 9):
+        tables = enumeration._mask_tables(n)
+        before = copy.deepcopy(tables)
+        monkeypatch.setattr(enumeration, "_mask_tables", lambda n: tables)
+        half = 1 << (n - 1)
+        assert enumeration._census_rows(n, 0, half) == census_cnk(n)
+        monkeypatch.undo()
+        assert tables == before, n
 
 
 def test_merge_counts():
