@@ -134,9 +134,9 @@ def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
     while stack:
         p, mask, end, val = stack.pop()
         for q, bit, arcs in blocks[p]:
+            e, v = end, val
             if arcs:
                 e = end[:]
-                v = val
                 for u, w in arcs:
                     x = e[u]
                     if x == w:
@@ -146,8 +146,6 @@ def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
                         e[x] = y
                         e[y] = x
                         v -= 1
-            else:
-                e, v = end, val
             if q < stop:
                 stack.append((q, mask | bit, e, v))
             else:
