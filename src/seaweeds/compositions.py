@@ -20,7 +20,6 @@ from .errors import LimitExceeded, ParseError
 # hundred MB, far above the desk-scale types the commands serve.
 MAX_TYPE_N = 10**6
 
-_PART_RE = re.compile(r"[1-9][0-9]*")
 _COMPOSITION_RE = re.compile(r"[1-9][0-9]*(?:\|[1-9][0-9]*)*")
 
 
@@ -116,34 +115,34 @@ def all_pairs(n: int) -> Iterator[SeaweedType]:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse ``a1|a2|...|ak`` with decimal parts and no whitespace."""
-    if _COMPOSITION_RE.fullmatch(text):
+    """Parse ``a1|a2|...|ak`` with decimal parts and no whitespace.
+
+    An error is placed by the longest well-formed prefix: a part in it too
+    long for int() comes first, else the character that ends the prefix.
+    """
+    m = _COMPOSITION_RE.match(text)
+    if not m:
+        if not text:
+            raise ParseError("empty composition", 0)
+        raise ParseError(f"expected part in {text!r}", 0)
+    end = m.end()
+    if end == len(text):
         try:
             return Composition(tuple(map(int, text.split("|"))))
         except ValueError:
-            pass  # a part longer than int() takes; the scan below places it
-    # malformed: scan part by part to report where
-    if not text:
-        raise ParseError("empty composition", 0)
-    parts = []
+            pass  # a part longer than int() takes; placed below
     pos = 0
-    while True:
-        m = _PART_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"expected part in {text!r}", pos)
+    for part in m.group().split("|"):
         try:
-            parts.append(int(m.group()))
+            int(part)
         except ValueError:
             raise ParseError(
-                f"part of {m.end() - pos} digits is too long to read", pos
+                f"part of {len(part)} digits is too long to read", pos
             ) from None
-        pos = m.end()
-        if pos == len(text):
-            break
-        if text[pos] != "|":
-            raise ParseError(f"expected '|' in {text!r}", pos)
-        pos += 1
-    return Composition(tuple(parts))
+        pos += len(part) + 1
+    if text[end] == "|":
+        raise ParseError(f"expected part in {text!r}", end + 1)
+    raise ParseError(f"expected '|' in {text!r}", end)
 
 
 def parse_seaweed_type(text: str) -> SeaweedType:

@@ -8,26 +8,30 @@ sum(C-values) - 1, so a row costs a few thousand memoized states instead of
 the graph index, which the exhaustive path checks row by row.
 
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
-runs it: per top partner table (1-based, as meander._partners builds it),
-_graph_indices (shared with verify's per-pair winding check) grows the bottom
-compositions as a prefix tree, adding each block's arcs once for all that
-share the prefix, and joins path ends arc by arc, at amortized O(1) a pair:
+runs it: given only a top partner table (1-based, as meander._partners
+builds it; it also gives the top's arc count), _graph_indices (shared with
+verify's per-pair winding check) grows the bottom compositions as a prefix
+tree, adding each block's arcs once for all that share the prefix, and joins
+path ends arc by arc, at amortized O(1) a pair:
 
     index = 2*cycles + n - E - 1
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
 paths = n - E and 2*cycles + paths - 1 needs no path counted.  Its unit of
-work is a row: one top mask against every bottom mask.  Forked, it gives each
-process one contiguous range of top masks in [0, 2^(n-1)); count maps merge
-commutatively, so the result never depends on the split.
+work is a row: one top mask against every bottom mask, tallied into a Counter
+by Counter.update.  Forked, it gives each process one contiguous range of top
+masks in [0, 2^(n-1)); the parts merge by Counter.update, which commutes, so
+the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
-omitted).
+omitted); every tally here but the recurrence's counts with Counter.
 
 Limits guard the 4x-per-step cost of the exhaustive paths and can be
 overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
-DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit.
+DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit, and
+_check_census_limit is the one guard of every full-pair census.  Tables of
+c21 and c22 stop at n = GCD_TABLE_MAX_N.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import io
 import json
 import os
 import signal
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -52,6 +57,9 @@ CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
 DEFAULT_CENSUS_LIMIT = 14
 C22_MEANDER_LIMIT_ENV = "SEAWEEDS_C22_MEANDER_LIMIT"
 DEFAULT_C22_MEANDER_LIMIT = 50
+# c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
+# lines, so the table to this n takes a few seconds.
+GCD_TABLE_MAX_N = 300
 
 
 def _env_int(name: str, default: int) -> int:
@@ -73,6 +81,8 @@ def c22_meander_limit() -> int:
 
 
 def _check_census_limit(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     limit = census_limit()
     if n > limit:
         raise LimitExceeded(
@@ -90,15 +100,10 @@ def _check_c22_meander_limit(n: int) -> None:
         )
 
 
-def _mask_tables(n: int) -> tuple[list[list[int]], list[int]]:
-    """Per-mask partner tables (meander._partners) and arc counts."""
-    partners = []
-    arc_counts = []
-    for mask in range(1 << (n - 1)):
-        edges = _block_edges(composition_from_bitmask(n, mask).parts)
-        partners.append(_partners(n, edges))
-        arc_counts.append(len(edges))
-    return partners, arc_counts
+def _mask_tables(n: int) -> list[list[int]]:
+    """Per-mask partner tables (meander._partners)."""
+    return [_partners(n, _block_edges(composition_from_bitmask(n, mask).parts))
+            for mask in range(1 << (n - 1))]
 
 
 @cache
@@ -116,9 +121,10 @@ def _bottom_blocks(n: int) -> tuple:
                  for p in range(n))
 
 
-def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
+def _graph_indices(n: int, T: list[int]) -> list[int]:
     """Graph index of top table T over each bottom mask, in mask order.
 
+    T alone gives the top's arc count tarcs: one arc per vertex u < T[u].
     Depth first over _bottom_blocks, a node holds a path-end array, seeded
     with T (end[u] = far end of the path ending at u), and the running value
     n - tarcs - 1 + 2*cycles - barcs.  A bottom arc (u, w) closes a cycle if
@@ -130,6 +136,7 @@ def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
     blocks = _bottom_blocks(n)
     out = [0] * (1 << (n - 1))
     stop = n - 1
+    tarcs = sum(u < w for u, w in enumerate(T))
     stack = [(0, 0, T, n - tarcs - 1)]
     while stack:
         p, mask, end, val = stack.pop()
@@ -153,23 +160,13 @@ def _graph_indices(n: int, T: list[int], tarcs: int) -> list[int]:
     return out
 
 
-def _census_rows(n: int, tstart: int, tstop: int) -> dict[int, int]:
+def _census_rows(n: int, tstart: int, tstop: int) -> Counter:
     """Index tally over the rows of top masks [tstart, tstop); the parallel
     work unit."""
-    partners, arcs = _mask_tables(n)
-    counts: dict[int, int] = {}
-    for tmask in range(tstart, tstop):
-        for idx in _graph_indices(n, partners[tmask], arcs[tmask]):
-            counts[idx] = counts.get(idx, 0) + 1
+    counts = Counter()
+    for T in _mask_tables(n)[tstart:tstop]:
+        counts.update(_graph_indices(n, T))
     return counts
-
-
-def merge_counts(parts) -> dict[int, int]:
-    total: dict[int, int] = {}
-    for part in parts:
-        for key, v in part.items():
-            total[key] = total.get(key, 0) + v
-    return total
 
 
 def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
@@ -183,8 +180,6 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     """
     if workers > 1:
         return census_cnk_exhaustive(n, workers)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_census_limit(n)
     sums = _wind_tally(n, (), (), {})
     return {s - 1: v for s, v in sorted(sums.items())}
@@ -202,8 +197,6 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
     """Reference path: census_cnk from every pair's meander, forked
     over min(workers, usable CPUs, 2^(n-1)) processes, one contiguous range
     of top masks each."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_census_limit(n)
     if workers > 1:  # before counting CPUs: no fork is an error on any host
         try:
@@ -224,30 +217,23 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
     jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     with ctx.Pool(procs, initializer=_worker_init) as pool:
         parts = pool.starmap(_census_rows, jobs)
-    return merge_counts(parts)
+    total = Counter()
+    for part in parts:
+        total.update(part)
+    return total
 
 
 def census_cnk_naive(n: int) -> dict[int, int]:
     """Reference path: same tally through the public meander API, no kernel."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_census_limit(n)
-    counts: dict[int, int] = {}
-    for st in all_pairs(n):
-        idx = seaweed_index(st)
-        counts[idx] = counts.get(idx, 0) + 1
-    return counts
+    return Counter(map(seaweed_index, all_pairs(n)))
 
 
 def census_c21(n: int) -> dict[int, int]:
     """Tally of gcd(a, n) - 1 over a in [1, n-1] (two parts over one part)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    counts: dict[int, int] = {}
-    for a in range(1, n):
-        k = gcd(a, n) - 1
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    return Counter(gcd(a, n) - 1 for a in range(1, n))
 
 
 def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
@@ -258,36 +244,23 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if oracle not in ("gcd", "meander"):
+    firsts = range(1, n)
+    if oracle == "gcd":
+        return Counter(gcd(n, n - a + c) - 1 for a in firsts for c in firsts)
+    if oracle != "meander":
         raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle == "meander":
-        _check_c22_meander_limit(n)
-    counts: dict[int, int] = {}
-    for a in range(1, n):
-        for c in range(1, n):
-            if oracle == "gcd":
-                k = gcd(n, n - a + c) - 1
-            else:
-                st = SeaweedType(
-                    Composition((a, n - a)), Composition((c, n - c))
-                )
-                k = seaweed_index(st)
-            counts[k] = counts.get(k, 0) + 1
-    return counts
+    _check_c22_meander_limit(n)
+    comps = [Composition((a, n - a)) for a in firsts]
+    return Counter(seaweed_index(SeaweedType(top, bottom))
+                   for top in comps for bottom in comps)
 
 
 def homotopy_census(n: int) -> dict[HomotopyType, int]:
     """Tally of canonical homotopy types over all 4^(n-1) pairs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _check_census_limit(n)
-    half = 1 << (n - 1)
-    parts = [composition_from_bitmask(n, m).parts for m in range(half)]
-    counts: dict[tuple[int, ...], int] = {}
-    for tp in parts:
-        for bp in parts:
-            key = tuple(sorted(_wind_homotopy(tp, bp)))
-            counts[key] = counts.get(key, 0) + 1
+    parts = [composition_from_bitmask(n, m).parts for m in range(1 << (n - 1))]
+    counts = Counter(tuple(sorted(_wind_homotopy(tp, bp)))
+                     for tp in parts for bp in parts)
     return {HomotopyType(key): v for key, v in sorted(counts.items())}
 
 
@@ -389,6 +362,10 @@ def build_table(
         _check_census_limit(max_n)
     elif kind == "c22" and oracle == "meander":
         _check_c22_meander_limit(max_n)
+    if kind != "cnk" and max_n > GCD_TABLE_MAX_N:
+        raise LimitExceeded(
+            f"table {kind} to n={max_n} exceeds the limit n <= {GCD_TABLE_MAX_N}"
+        )
     rows = {}
     for n in range(min_n, max_n + 1):
         if kind == "cnk":

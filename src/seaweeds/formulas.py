@@ -42,6 +42,10 @@ def c_diag3(n: int) -> int:
     return (2 * n * n + 11 * n - 25) << (n - 5)
 
 
+# C(n, n-j) in closed form for n >= j, by j
+DIAGONALS = {1: c_diag1, 2: c_diag2, 3: c_diag3}
+
+
 def case_terms(n: int) -> tuple[int, ...]:
     """The fifteen per-case contributions to C(n, n-3), in a fixed order.
 

@@ -25,10 +25,9 @@ from .enumeration import (
 )
 from .errors import LimitExceeded
 from .formulas import (
+    DIAGONALS,
     c21,
     c22,
-    c_diag1,
-    c_diag2,
     c_diag3,
     c_diag3_longform,
     coprime_sum,
@@ -128,17 +127,14 @@ def _mismatches(pairs) -> tuple[bool, str]:
 def suite_formulas() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
-    def diag_check(j, fn, lo):
-        def run():
+    for j, fn in DIAGONALS.items():
+        def diag_check(j=j, fn=fn):
             pairs = [(f"n={n}", fn(n), _cnk(n).get(n - j, 0))
-                     for n in range(lo, DIAG_CENSUS_MAX_N + 1)]
+                     for n in range(j, DIAG_CENSUS_MAX_N + 1)]
             ok, msg = _mismatches(pairs)
-            return ok, f"n={lo}..{DIAG_CENSUS_MAX_N} vs full census; {msg}"
-        return run
+            return ok, f"n={j}..{DIAG_CENSUS_MAX_N} vs full census; {msg}"
 
-    _run(checks, "diag1 closed form vs census", diag_check(1, c_diag1, 1))
-    _run(checks, "diag2 closed form vs census", diag_check(2, c_diag2, 2))
-    _run(checks, "diag3 closed form vs census", diag_check(3, c_diag3, 3))
+        _run(checks, f"diag{j} closed form vs census", diag_check)
 
     def winding_dp():
         pairs = [(f"n={n}", _cnk(n), census_cnk(n))
@@ -220,7 +216,6 @@ def suite_formulas() -> VerifySuiteReport:
 def suite_gf() -> VerifySuiteReport:
     checks: list[CheckResult] = []
     gfs = builtin_gfs()
-    closed = {1: (c_diag1, 1), 2: (c_diag2, 2), 3: (c_diag3, 3)}
 
     def denoms():
         pairs = [(f"gf{j}", j, denominator_power_of_1_minus_2x(gfs[j]))
@@ -229,13 +224,12 @@ def suite_gf() -> VerifySuiteReport:
 
     _run(checks, "denominators are (1-2x)^j", denoms)
 
-    for j in (1, 2, 3):
-        def against_closed(j=j):
-            fn, lo = closed[j]
+    for j, fn in DIAGONALS.items():
+        def against_closed(j=j, fn=fn):
             coeffs = gf_coefficients(gfs[j], GF_CLOSED_FORM_ORDER)
             pairs = [(f"x^{n}", fn(n), coeffs[n])
-                     for n in range(lo, GF_CLOSED_FORM_ORDER + 1)]
-            pairs += [(f"x^{n}", 0, coeffs[n]) for n in range(0, lo)]
+                     for n in range(j, GF_CLOSED_FORM_ORDER + 1)]
+            pairs += [(f"x^{n}", 0, coeffs[n]) for n in range(0, j)]
             ok, msg = _mismatches(pairs)
             return ok, f"orders 0..{GF_CLOSED_FORM_ORDER}; {msg}"
 
@@ -253,10 +247,9 @@ def suite_gf() -> VerifySuiteReport:
     def vs_golden():
         golden = load_golden("cnk")
         pairs = []
-        for j in (1, 2, 3):
+        for j in DIAGONALS:
             coeffs = gf_coefficients(gfs[j], 10)
-            lo = closed[j][1]
-            for n in range(lo, 11):
+            for n in range(j, 11):
                 pairs.append((f"(j={j},n={n})", golden.cell(n, n - j), coeffs[n]))
         ok, msg = _mismatches(pairs)
         return ok, f"series vs reference table diagonals, n<=10; {msg}"
@@ -336,12 +329,12 @@ def suite_winding() -> VerifySuiteReport:
     def agreement():
         total = 0
         for n in range(1, WINDING_MAX_N + 1):
-            partners, arcs = _mask_tables(n)
+            partners = _mask_tables(n)
             half = 1 << (n - 1)
             parts = [composition_from_bitmask(n, m).parts for m in range(half)]
             for tmask in range(half):
                 tp = parts[tmask]
-                graph = _graph_indices(n, partners[tmask], arcs[tmask])
+                graph = _graph_indices(n, partners[tmask])
                 for bmask, graph_index in enumerate(graph):
                     wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
                     if graph_index != wind_index:

@@ -152,6 +152,22 @@ def test_table_c22_meander_over_limit(capsys, monkeypatch):
     assert err == f"error: {e.value}\n"
 
 
+@pytest.mark.parametrize("kind", ["c21", "c22"])
+def test_table_gcd_over_limit(capsys, monkeypatch, kind):
+    # refused before the first row is computed; the bound itself is allowed
+    rows = []
+    monkeypatch.setattr(enumeration, f"census_{kind}",
+                        lambda n, oracle="gcd": rows.append(n) or {0: 1})
+    bound = enumeration.GCD_TABLE_MAX_N
+    code, out, err = run(capsys, "table", kind, "--max-n", str(bound + 1))
+    assert (code, out, rows) == (3, "", [])
+    assert err == (f"error: table {kind} to n={bound + 1} exceeds the limit "
+                   f"n <= {bound}\n")
+    code, _, _ = run(capsys, "table", kind, "--max-n", str(bound))
+    assert code == 0
+    assert rows[-1] == bound
+
+
 @pytest.mark.parametrize("kind,max_n", [("cnk", "0"), ("c21", "1"), ("c22", "1")])
 def test_table_max_n_below_minimum(capsys, kind, max_n):
     code, out, err = run(capsys, "table", kind, "--max-n", max_n)

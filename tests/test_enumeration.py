@@ -4,6 +4,7 @@ import json
 import random
 import signal
 import sys
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,6 @@ from seaweeds.enumeration import (
     diff_golden,
     homotopy_census,
     load_golden,
-    merge_counts,
     table_from_csv,
 )
 from seaweeds.compositions import SeaweedType, composition_from_bitmask
@@ -78,7 +78,7 @@ def test_census_rows_split_anywhere():
             cuts = [0] + inner + [half]
             parts = [enumeration._census_rows(n, lo, hi)
                      for lo, hi in zip(cuts, cuts[1:])]
-            assert merge_counts(parts) == want, (n, cuts)
+            assert sum(parts, Counter()) == want, (n, cuts)
         assert enumeration._census_rows(n, half, half) == {}
 
 
@@ -164,11 +164,11 @@ def test_graph_indices_match_seaweed_index_per_pair():
     # tallies cannot see per-pair errors that cancel; the verify winding
     # check reads these values pair by pair
     for n in range(1, 8):
-        partners, arcs = enumeration._mask_tables(n)
+        partners = enumeration._mask_tables(n)
         half = 1 << (n - 1)
         comps = [composition_from_bitmask(n, m) for m in range(half)]
         for tmask in range(half):
-            got = enumeration._graph_indices(n, partners[tmask], arcs[tmask])
+            got = enumeration._graph_indices(n, partners[tmask])
             want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                     for bottom in comps]
             assert got == want
@@ -183,7 +183,7 @@ def test_graph_indices_match_seaweed_index_at_verify_depth(n):
     comps = [composition_from_bitmask(n, m) for m in range(half)]
     for tmask in [0, half - 1] + rng.sample(range(1, half - 1), 2):
         edges = _block_edges(comps[tmask].parts)
-        got = enumeration._graph_indices(n, _partners(n, edges), len(edges))
+        got = enumeration._graph_indices(n, _partners(n, edges))
         want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                 for bottom in comps]
         assert got == want, tmask
@@ -200,11 +200,6 @@ def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
         assert enumeration._census_rows(n, 0, half) == census_cnk(n)
         monkeypatch.undo()
         assert tables == before, n
-
-
-def test_merge_counts():
-    assert merge_counts([{0: 1, 2: 5}, {2: 1, 3: 4}, {}]) == {0: 1, 2: 6, 3: 4}
-    assert merge_counts([]) == {}
 
 
 def test_census_c21():
@@ -270,6 +265,25 @@ def test_census_limit_env(monkeypatch):
         census_cnk_exhaustive(6)
     with pytest.raises(LimitExceeded):
         homotopy_census(6)
+
+
+@pytest.mark.parametrize(
+    "census", [census_cnk, census_cnk_exhaustive, census_cnk_naive, homotopy_census],
+    ids=lambda f: f.__name__,
+)
+def test_census_guard(monkeypatch, census):
+    # one guard for every full-pair census, checked before any pair
+    def no_pairs(*args):
+        raise AssertionError("a pair was computed")
+
+    for name in ("_wind_tally", "_graph_indices", "seaweed_index",
+                 "_wind_homotopy"):
+        monkeypatch.setattr(enumeration, name, no_pairs)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        census(0)
+    monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "5")
+    with pytest.raises(LimitExceeded):
+        census(6)
 
 
 def test_c22_meander_limit_env(monkeypatch):
