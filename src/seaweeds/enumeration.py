@@ -8,27 +8,44 @@ sum(C-values) - 1, so a row costs a few thousand memoized states instead of
 the graph index, which the exhaustive path checks row by row.
 
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
-runs it: given only a top partner table (1-based, as meander._partners
-builds it; it also gives the top's arc count), _graph_indices (shared with
-verify's per-pair winding check) grows the bottom compositions as a prefix
-tree, adding each block's arcs once for all that share the prefix, and joins
-path ends arc by arc, at amortized O(1) a pair:
+runs it.  It rests on the common-cut lemma: if both compositions cut after
+the same vertex c < n, no arc crosses c, so the meander is the disjoint union
+of the two halves' meanders; cycles and paths add, and
+
+    index(T1T2/B1B2) = index(T1/B1) + index(T2/B2) + 1.
+
+Every pair factors uniquely at its common cuts into irreducible pairs (no
+common internal cut).  Each of the m-1 cut positions of size m is cut by the
+top, by the bottom or by neither, so there are 3^(m-1) irreducible pairs of
+size m, not 4^(m-1).  _census_rows tallies index + 1 over the irreducible
+pairs of every size m <= n, g_m, and _compose convolves them: F_0 = {0: 1},
+F_n = sum over m = 1..n of g_m * F_(n-m) (keys add, counts multiply), and
+C(n, k) = F_n[k + 1].  A step of n costs ~3x.
+
+Given a top partner table (1-based, as meander._partners builds it; it also
+gives the top's arc count) and the top's cuts, _graph_indices grows the
+bottom compositions that avoid those cuts as a prefix tree, adding each
+block's arcs once for all that share the prefix, and joins path ends arc by
+arc, at amortized O(1) a pair:
 
     index = 2*cycles + n - E - 1
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E and 2*cycles + paths - 1 needs no path counted.  Its unit of
-work is a row: one top mask against every bottom mask, tallied into a Counter
-by Counter.update.  Forked, it gives each process one contiguous range of top
-masks in [0, 2^(n-1)); the parts merge by Counter.update, which commutes, so
-the result never depends on the split.
+paths = n - E and 2*cycles + paths - 1 needs no path counted.  Verify's
+per-pair winding check runs it over every bottom (no cuts avoided).  The
+census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
+[tstart >> (n-m), tstop >> (n-m)), and floor-shifting a partition of
+[0, 2^(n-1)) gives a partition of [0, 2^(m-1)).  Forked, each process takes
+one range, cut so each holds an equal share of the irreducible pairs; the
+parts merge by Counter.update, which commutes, so the result never depends
+on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
 omitted); every tally here but the recurrence's counts with Counter.
 
-Limits guard the 4x-per-step cost of the exhaustive paths and can be
-overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
+Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
+be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
 DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit, and
 _check_census_limit is the one guard of every full-pair census.  Tables of
 c21 and c22 stop at n = GCD_TABLE_MAX_N.
@@ -108,21 +125,26 @@ def _mask_tables(n: int) -> list[list[int]]:
 
 @cache
 def _bottom_blocks(n: int) -> tuple:
-    """The prefix tree of bottom compositions of n, as blocks by start.
+    """The prefix tree of bottom compositions of n, grown from the right.
 
-    Entry p lists each block p+1..q as (q, the mask bit of the cut after q,
-    or 0 when q == n, and the block's arcs: one part of q - p shifted by p).
+    Entry p lists each block q+1..p that can close the prefix 1..p as (q, the
+    mask bit of the cut after q, or 0 when q == 0, and the block's arcs: one
+    part of p - q shifted by q), for q = p-1 down to 2, then 0, then 1.  A
+    depth-first walk that pushes q > 1 and stores q <= 1 at once (vertex 1
+    alone has no arc) then meets the masks in increasing order.
     """
-    def block(p, q):
-        arcs = tuple((j + p, k + p) for j, k in _block_edges((q - p,)))
-        return q, 1 << (q - 1) if q < n else 0, arcs
+    def block(q, p):
+        arcs = tuple((j + q, k + q) for j, k in _block_edges((p - q,)))
+        return q, 1 << (q - 1) if q else 0, arcs
 
-    return tuple(tuple(block(p, q) for q in range(p + 1, n + 1))
-                 for p in range(n))
+    return tuple(
+        tuple(block(q, p) for q in [*range(p - 1, 1, -1), *range(min(p, 2))])
+        for p in range(n + 1))
 
 
-def _graph_indices(n: int, T: list[int]) -> list[int]:
-    """Graph index of top table T over each bottom mask, in mask order.
+def _graph_indices(n: int, T: list[int], tcuts: int = 0) -> list[int]:
+    """Graph index of top table T over each bottom mask without a cut in
+    tcuts, in mask order.
 
     T alone gives the top's arc count tarcs: one arc per vertex u < T[u].
     Depth first over _bottom_blocks, a node holds a path-end array, seeded
@@ -131,16 +153,19 @@ def _graph_indices(n: int, T: list[int]) -> list[int]:
     end[u] == w (+1); else the far ends x, y of u and w now end one path
     (end[x], end[y] = y, x; -1).  At a leaf the value is the index, since
     paths = n - E.  Only blocks with arcs copy the array, so T is never
-    written; a node at n - 1 is stored at once (its lone vertex has no arc).
+    written.  A block whose cut bit is in tcuts is skipped with its subtree:
+    with tcuts = the top's mask, only the pairs sharing no cut with the top
+    remain, the irreducible pairs of the exhaustive census.
     """
     blocks = _bottom_blocks(n)
-    out = [0] * (1 << (n - 1))
-    stop = n - 1
+    out = []
     tarcs = sum(u < w for u, w in enumerate(T))
-    stack = [(0, 0, T, n - tarcs - 1)]
+    stack = [(n, T, n - tarcs - 1)]
     while stack:
-        p, mask, end, val = stack.pop()
+        p, end, val = stack.pop()
         for q, bit, arcs in blocks[p]:
+            if bit & tcuts:
+                continue
             e, v = end, val
             if arcs:
                 e = end[:]
@@ -153,19 +178,24 @@ def _graph_indices(n: int, T: list[int]) -> list[int]:
                         e[x] = y
                         e[y] = x
                         v -= 1
-            if q < stop:
-                stack.append((q, mask | bit, e, v))
+            if q > 1:
+                stack.append((q, e, v))
             else:
-                out[mask | bit] = v
+                out.append(v)
     return out
 
 
 def _census_rows(n: int, tstart: int, tstop: int) -> Counter:
-    """Index tally over the rows of top masks [tstart, tstop); the parallel
-    work unit."""
+    """Tally of (m, index + 1) over the irreducible pairs of each size
+    m <= n whose top mask lies in [tstart >> (n - m), tstop >> (n - m));
+    the parallel work unit."""
     counts = Counter()
-    for T in _mask_tables(n)[tstart:tstop]:
-        counts.update(_graph_indices(n, T))
+    for m in range(1, n + 1):
+        lo, hi = tstart >> (n - m), tstop >> (n - m)
+        row = Counter()
+        for tmask, T in enumerate(_mask_tables(m)[lo:hi], lo):
+            row.update(_graph_indices(m, T, tmask))
+        counts.update({(m, k + 1): c for k, c in row.items()})
     return counts
 
 
@@ -194,9 +224,9 @@ def _worker_init() -> None:
 
 
 def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
-    """Reference path: census_cnk from every pair's meander, forked
-    over min(workers, usable CPUs, 2^(n-1)) processes, one contiguous range
-    of top masks each."""
+    """Reference path: census_cnk from the meanders of the irreducible
+    pairs, composed at common cuts; forked over min(workers, usable CPUs,
+    2^(n-1)) processes, one contiguous range of top masks each."""
     _check_census_limit(n)
     if workers > 1:  # before counting CPUs: no fork is an error on any host
         try:
@@ -212,15 +242,41 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
         cpus = os.cpu_count() or 1
     procs = min(workers, cpus, half)
     if procs <= 1:
-        return _census_rows(n, 0, half)
-    cuts = [half * p // procs for p in range(procs + 1)]
-    jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    with ctx.Pool(procs, initializer=_worker_init) as pool:
-        parts = pool.starmap(_census_rows, jobs)
-    total = Counter()
-    for part in parts:
-        total.update(part)
-    return total
+        irreducible = _census_rows(n, 0, half)
+    else:
+        # a top mask with j cuts meets 2^(n-1-j) of the 3^(n-1) irreducible
+        # bottoms of size n: cut where that weight reaches each 1/procs
+        cuts, acc = [0], 0
+        for tmask in range(half):
+            acc += 1 << (n - 1 - tmask.bit_count())
+            while acc * procs >= 3 ** (n - 1) * len(cuts):
+                cuts.append(tmask + 1)
+        jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        with ctx.Pool(procs, initializer=_worker_init) as pool:
+            parts = pool.starmap(_census_rows, jobs)
+        irreducible = Counter()
+        for part in parts:
+            irreducible.update(part)
+    return _compose(n, irreducible)
+
+
+def _compose(n: int, irreducible: Counter) -> dict[int, int]:
+    """C(n, .) from the tally of (m, index + 1) over irreducible pairs.
+
+    Pairs factor uniquely at their common cuts and index + 1 adds over the
+    factors, so with g_m that tally at size m, F_0 = {0: 1} and
+    F_size = sum over m of g_m * F_(size - m) (keys add, counts multiply),
+    C(n, k) = F_n[k + 1].
+    """
+    rows = [{0: 1}]
+    for size in range(1, n + 1):
+        row = Counter()
+        for (m, s), g in irreducible.items():
+            if m <= size:
+                for t, f in rows[size - m].items():
+                    row[s + t] += g * f
+        rows.append(row)
+    return {s - 1: c for s, c in sorted(rows[n].items())}
 
 
 def census_cnk_naive(n: int) -> dict[int, int]:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -26,6 +28,19 @@ def test_index_command(capsys):
         "paths 2",
     ]
     assert err == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # `python -m seaweeds` goes through seaweeds/__main__.py to cli.entry
+    code, want, _ = run(capsys, "index", "2|4/1|2|3")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seaweeds", "index", "2|4/1|2|3"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want, "")
 
 
 def test_index_parse_error(capsys):

@@ -67,23 +67,48 @@ def test_census_parallel_agrees():
 
 def test_census_rows_split_anywhere():
     # the pool cuts [0, 2^(n-1)) into one top-mask range per process; any
-    # cuts, empty ranges included, merge to the same row
+    # cuts, empty ranges included, merge to the same irreducible tally and
+    # compose to the same row
     rng = random.Random(6)
     for n in range(1, 8):
         half = 1 << (n - 1)
         want = census_cnk_naive(n)
-        assert enumeration._census_rows(n, 0, half) == want
+        whole = enumeration._census_rows(n, 0, half)
+        assert enumeration._compose(n, whole) == want
         for _ in range(4):
             inner = sorted(rng.randint(0, half) for _ in range(rng.randint(1, 5)))
             cuts = [0] + inner + [half]
             parts = [enumeration._census_rows(n, lo, hi)
                      for lo, hi in zip(cuts, cuts[1:])]
-            assert sum(parts, Counter()) == want, (n, cuts)
+            merged = sum(parts, Counter())
+            assert merged == whole, (n, cuts)
+            assert enumeration._compose(n, merged) == want, (n, cuts)
         assert enumeration._census_rows(n, half, half) == {}
+        assert enumeration._census_rows(n, 0, 0) == {}
+
+
+def test_census_composes_the_full_rows():
+    # the common-cut decomposition against every pair's graph index
+    for n in range(1, 11):
+        full = Counter()
+        for T in enumeration._mask_tables(n):
+            full.update(enumeration._graph_indices(n, T))
+        assert census_cnk_exhaustive(n) == full, n
+
+
+def test_irreducible_pairs_per_size():
+    # pairs without a common internal cut: top, bottom or neither cuts at
+    # each of the m - 1 positions
+    n = 12
+    sizes = Counter()
+    for (m, _), count in enumeration._census_rows(n, 0, 1 << (n - 1)).items():
+        sizes[m] += count
+    assert sizes == {m: 3 ** (m - 1) for m in range(1, n + 1)}
 
 
 def _sigterm_is_default(n, tstart, tstop):
-    return {signal.getsignal(signal.SIGTERM) == signal.SIG_DFL: 1}
+    # one irreducible pair of size n, of index 1 if SIGTERM is default, else 0
+    return {(n, 1 + (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)): 1}
 
 
 def test_census_pool_workers_take_default_sigterm(monkeypatch):
@@ -94,7 +119,7 @@ def test_census_pool_workers_take_default_sigterm(monkeypatch):
                         lambda pid: {0, 1}, raising=False)
     old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     try:
-        assert census_cnk_exhaustive(8, workers=2) == {True: 2}
+        assert census_cnk_exhaustive(8, workers=2) == {1: 2}
     finally:
         signal.signal(signal.SIGTERM, old)
 
@@ -172,6 +197,9 @@ def test_graph_indices_match_seaweed_index_per_pair():
             want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                     for bottom in comps]
             assert got == want
+            # the census's irreducible pairs: bottoms sharing no top cut
+            got = enumeration._graph_indices(n, partners[tmask], tmask)
+            assert got == [v for bmask, v in enumerate(want) if not bmask & tmask]
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -193,11 +221,10 @@ def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
     # the kernel seeds its path-end array with the top table itself; a write
     # to it would not show in any tally, so compare the tables
     for n in range(1, 9):
-        tables = enumeration._mask_tables(n)
+        tables = {m: enumeration._mask_tables(m) for m in range(1, n + 1)}
         before = copy.deepcopy(tables)
-        monkeypatch.setattr(enumeration, "_mask_tables", lambda n: tables)
-        half = 1 << (n - 1)
-        assert enumeration._census_rows(n, 0, half) == census_cnk(n)
+        monkeypatch.setattr(enumeration, "_mask_tables", lambda m: tables[m])
+        assert census_cnk_exhaustive(n) == census_cnk(n)
         monkeypatch.undo()
         assert tables == before, n
 
