@@ -20,7 +20,9 @@ top, by the bottom or by neither, so there are 3^(m-1) irreducible pairs of
 size m, not 4^(m-1).  _census_rows tallies index + 1 over the irreducible
 pairs of every size m <= n, g_m, and _compose convolves them: F_0 = {0: 1},
 F_n = sum over m = 1..n of g_m * F_(n-m) (keys add, counts multiply), and
-C(n, k) = F_n[k + 1].  A step of n costs ~3x.
+C(n, k) = F_n[k + 1].  So one tally gives every row C(m, .), m <= n
+(_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step of n
+costs ~3x.
 
 Given a top partner table (1-based, as meander._partners builds it; it also
 gives the top's arc count) and the top's cuts, _graph_indices grows the
@@ -34,11 +36,11 @@ arc, at amortized O(1) a pair:
 paths = n - E and 2*cycles + paths - 1 needs no path counted.  Verify's
 per-pair winding check runs it over every bottom (no cuts avoided).  The
 census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
-[tstart >> (n-m), tstop >> (n-m)), and floor-shifting a partition of
-[0, 2^(n-1)) gives a partition of [0, 2^(m-1)).  Forked, each process takes
-one range, cut so each holds an equal share of the irreducible pairs; the
-parts merge by Counter.update, which commutes, so the result never depends
-on the split.
+[tstart >> (n-m), tstop >> (n-m)) and builds the top tables of that range
+only; floor-shifting a partition of [0, 2^(n-1)) gives a partition of
+[0, 2^(m-1)).  Forked, each process takes one range, cut so each holds an
+equal share of the irreducible pairs; the parts merge by Counter.update,
+which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
@@ -103,8 +105,8 @@ def _check_census_limit(n: int) -> None:
     limit = census_limit()
     if n > limit:
         raise LimitExceeded(
-            f"census over 4^{n - 1} pairs exceeds the limit n <= {limit}; "
-            f"cost grows 4x per step (set {CENSUS_LIMIT_ENV} to override)"
+            f"census at n={n} exceeds the limit n <= {limit} "
+            f"(set {CENSUS_LIMIT_ENV} to override)"
         )
 
 
@@ -117,10 +119,9 @@ def _check_c22_meander_limit(n: int) -> None:
         )
 
 
-def _mask_tables(n: int) -> list[list[int]]:
-    """Per-mask partner tables (meander._partners)."""
-    return [_partners(n, _block_edges(composition_from_bitmask(n, mask).parts))
-            for mask in range(1 << (n - 1))]
+def _top_table(n: int, mask: int) -> list[int]:
+    """Partner table (meander._partners) of the composition of n with mask."""
+    return _partners(n, _block_edges(composition_from_bitmask(n, mask).parts))
 
 
 @cache
@@ -193,8 +194,8 @@ def _census_rows(n: int, tstart: int, tstop: int) -> Counter:
     for m in range(1, n + 1):
         lo, hi = tstart >> (n - m), tstop >> (n - m)
         row = Counter()
-        for tmask, T in enumerate(_mask_tables(m)[lo:hi], lo):
-            row.update(_graph_indices(m, T, tmask))
+        for tmask in range(lo, hi):
+            row.update(_graph_indices(m, _top_table(m, tmask), tmask))
         counts.update({(m, k + 1): c for k, c in row.items()})
     return counts
 
@@ -224,9 +225,13 @@ def _worker_init() -> None:
 
 
 def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
-    """Reference path: census_cnk from the meanders of the irreducible
-    pairs, composed at common cuts; forked over min(workers, usable CPUs,
-    2^(n-1)) processes, one contiguous range of top masks each."""
+    """Reference path: census_cnk as the last row of _exhaustive_rows."""
+    return _exhaustive_rows(n, workers)[n]
+
+
+def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
+    """Rows C(m, .), m = 1..n, from one irreducible tally; forked over
+    min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each."""
     _check_census_limit(n)
     if workers > 1:  # before counting CPUs: no fork is an error on any host
         try:
@@ -252,21 +257,20 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
             while acc * procs >= 3 ** (n - 1) * len(cuts):
                 cuts.append(tmask + 1)
         jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        with ctx.Pool(procs, initializer=_worker_init) as pool:
-            parts = pool.starmap(_census_rows, jobs)
         irreducible = Counter()
-        for part in parts:
-            irreducible.update(part)
+        with ctx.Pool(procs, initializer=_worker_init) as pool:
+            for part in pool.starmap(_census_rows, jobs):
+                irreducible.update(part)
     return _compose(n, irreducible)
 
 
-def _compose(n: int, irreducible: Counter) -> dict[int, int]:
-    """C(n, .) from the tally of (m, index + 1) over irreducible pairs.
+def _compose(n: int, irreducible: Counter) -> dict[int, dict[int, int]]:
+    """Rows C(size, .), size = 1..n, from the tally of (m, index + 1).
 
-    Pairs factor uniquely at their common cuts and index + 1 adds over the
-    factors, so with g_m that tally at size m, F_0 = {0: 1} and
-    F_size = sum over m of g_m * F_(size - m) (keys add, counts multiply),
-    C(n, k) = F_n[k + 1].
+    The tally runs over irreducible pairs.  Pairs factor uniquely at their
+    common cuts and index + 1 adds over the factors, so with g_m the tally at
+    size m, F_0 = {0: 1} and F_size = sum over m of g_m * F_(size - m) (keys
+    add, counts multiply), C(size, k) = F_size[k + 1].
     """
     rows = [{0: 1}]
     for size in range(1, n + 1):
@@ -276,7 +280,8 @@ def _compose(n: int, irreducible: Counter) -> dict[int, int]:
                 for t, f in rows[size - m].items():
                     row[s + t] += g * f
         rows.append(row)
-    return {s - 1: c for s, c in sorted(rows[n].items())}
+    return {size: {s - 1: c for s, c in sorted(rows[size].items())}
+            for size in range(1, n + 1)}
 
 
 def census_cnk_naive(n: int) -> dict[int, int]:
@@ -413,23 +418,24 @@ def build_table(
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    # fail fast before any row is computed
     if kind == "cnk":
         _check_census_limit(max_n)
-    elif kind == "c22" and oracle == "meander":
+        if workers > 1:  # one pool for the whole table
+            return IndexTable(kind, _exhaustive_rows(max_n, workers))
+        memo = {}  # row max_n's memo holds (n, (), ()) for every n < max_n
+        _wind_tally(max_n, (), (), memo)
+        return IndexTable(kind, {
+            n: {s - 1: v for s, v in sorted(memo[n, (), ()].items())}
+            for n in range(1, max_n + 1)})
+    # fail fast before any row is computed
+    if kind == "c22" and oracle == "meander":
         _check_c22_meander_limit(max_n)
-    if kind != "cnk" and max_n > GCD_TABLE_MAX_N:
+    if max_n > GCD_TABLE_MAX_N:
         raise LimitExceeded(
             f"table {kind} to n={max_n} exceeds the limit n <= {GCD_TABLE_MAX_N}"
         )
-    rows = {}
-    for n in range(min_n, max_n + 1):
-        if kind == "cnk":
-            rows[n] = census_cnk(n, workers=workers)
-        elif kind == "c21":
-            rows[n] = census_c21(n)
-        else:
-            rows[n] = census_c22(n, oracle=oracle)
+    rows = {n: census_c21(n) if kind == "c21" else census_c22(n, oracle=oracle)
+            for n in range(min_n, max_n + 1)}
     return IndexTable(kind, rows)
 
 

@@ -4,23 +4,23 @@ Each suite runs a fixed list of named checks at documented desk-scale bounds
 and returns a VerifySuiteReport; a suite passes iff all its checks pass.  A
 check that raises is reported as a failure, not a crash, except that a
 census refused by its limit (LimitExceeded) stops the suite: it disproves
-nothing, so the CLI exits 3 as for any other command.  Full-pair censuses
-are memoized per process so `verify all` pays for each n only once.
+nothing, so the CLI exits 3 as for any other command.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
+    _exhaustive_rows,
     _graph_indices,
-    _mask_tables,
+    _top_table,
     census_c21,
     census_c22,
     census_cnk,
-    census_cnk_exhaustive,
     load_golden,
 )
 from .errors import LimitExceeded
@@ -104,15 +104,6 @@ def _run(checks: list[CheckResult], name: str, fn) -> None:
     checks.append(CheckResult(name, passed, detail, time.perf_counter() - start))
 
 
-_cnk_cache: dict[int, dict[int, int]] = {}
-
-
-def _cnk(n: int) -> dict[int, int]:
-    if n not in _cnk_cache:
-        _cnk_cache[n] = census_cnk_exhaustive(n)
-    return _cnk_cache[n]
-
-
 def _mismatches(pairs) -> tuple[bool, str]:
     bad = [f"{label}: expected {want}, got {got}" for label, want, got in pairs
            if want != got]
@@ -127,9 +118,13 @@ def _mismatches(pairs) -> tuple[bool, str]:
 def suite_formulas() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
+    @cache  # one exhaustive pass, run and timed by the first check to read it
+    def census():
+        return _exhaustive_rows(DIAG_CENSUS_MAX_N, 1)
+
     for j, fn in DIAGONALS.items():
         def diag_check(j=j, fn=fn):
-            pairs = [(f"n={n}", fn(n), _cnk(n).get(n - j, 0))
+            pairs = [(f"n={n}", fn(n), census()[n].get(n - j, 0))
                      for n in range(j, DIAG_CENSUS_MAX_N + 1)]
             ok, msg = _mismatches(pairs)
             return ok, f"n={j}..{DIAG_CENSUS_MAX_N} vs full census; {msg}"
@@ -137,7 +132,7 @@ def suite_formulas() -> VerifySuiteReport:
         _run(checks, f"diag{j} closed form vs census", diag_check)
 
     def winding_dp():
-        pairs = [(f"n={n}", _cnk(n), census_cnk(n))
+        pairs = [(f"n={n}", census()[n], census_cnk(n))
                  for n in range(1, DIAG_CENSUS_MAX_N + 1)]
         ok, msg = _mismatches(pairs)
         return ok, f"n=1..{DIAG_CENSUS_MAX_N}, full rows; {msg}"
@@ -329,12 +324,11 @@ def suite_winding() -> VerifySuiteReport:
     def agreement():
         total = 0
         for n in range(1, WINDING_MAX_N + 1):
-            partners = _mask_tables(n)
             half = 1 << (n - 1)
             parts = [composition_from_bitmask(n, m).parts for m in range(half)]
             for tmask in range(half):
                 tp = parts[tmask]
-                graph = _graph_indices(n, partners[tmask])
+                graph = _graph_indices(n, _top_table(n, tmask))
                 for bmask, graph_index in enumerate(graph):
                     wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
                     if graph_index != wind_index:

@@ -150,10 +150,14 @@ def test_table_check_golden_c21(capsys):
     assert "c21: OK (132 cells match the reference)" in out
 
 
-def test_table_over_limit(capsys):
-    code, _, err = run(capsys, "table", "cnk", "--max-n", "20")
-    assert code == 3
-    assert "error:" in err
+def test_table_over_limit(capsys, monkeypatch):
+    monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "table", "cnk", "--max-n", "20",
+                             "--workers", workers)
+        assert (code, out) == (3, "")
+        assert err == ("error: census at n=20 exceeds the limit n <= 14 "
+                       "(set SEAWEEDS_CENSUS_LIMIT to override)\n")
 
 
 def test_table_c22_meander_over_limit(capsys, monkeypatch):
@@ -311,13 +315,25 @@ def test_verify_gf(capsys):
 def test_verify_refused_census_exits_3(capsys, monkeypatch):
     # a census the limit refuses disproves no formula: exit 3, not 1
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "5")
-    monkeypatch.setattr(verify, "_cnk_cache", {})
     with pytest.raises(LimitExceeded) as e:
-        enumeration.census_cnk_exhaustive(6)
+        enumeration.census_cnk_exhaustive(verify.DIAG_CENSUS_MAX_N)
     code, out, err = run(capsys, "verify", "formulas")
     assert code == 3
     assert out == ""
     assert err == f"error: {e.value}\n"
+
+
+def test_verify_census_error_is_a_failed_check(capsys, monkeypatch):
+    # any other error of the census fails the check that runs it first
+    def broken(n, tstart, tstop):
+        raise RuntimeError("broken tally")
+
+    monkeypatch.setattr(enumeration, "_census_rows", broken)
+    code, out, _ = run(capsys, "verify", "formulas")
+    assert code == 1
+    first = out.splitlines()[0]
+    assert first.startswith("[FAIL] diag1 closed form vs census (")
+    assert first.endswith(": raised RuntimeError: broken tally")
 
 
 def test_unknown_command():

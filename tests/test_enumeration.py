@@ -74,7 +74,7 @@ def test_census_rows_split_anywhere():
         half = 1 << (n - 1)
         want = census_cnk_naive(n)
         whole = enumeration._census_rows(n, 0, half)
-        assert enumeration._compose(n, whole) == want
+        assert enumeration._compose(n, whole)[n] == want
         for _ in range(4):
             inner = sorted(rng.randint(0, half) for _ in range(rng.randint(1, 5)))
             cuts = [0] + inner + [half]
@@ -82,7 +82,7 @@ def test_census_rows_split_anywhere():
                      for lo, hi in zip(cuts, cuts[1:])]
             merged = sum(parts, Counter())
             assert merged == whole, (n, cuts)
-            assert enumeration._compose(n, merged) == want, (n, cuts)
+            assert enumeration._compose(n, merged)[n] == want, (n, cuts)
         assert enumeration._census_rows(n, half, half) == {}
         assert enumeration._census_rows(n, 0, 0) == {}
 
@@ -91,8 +91,8 @@ def test_census_composes_the_full_rows():
     # the common-cut decomposition against every pair's graph index
     for n in range(1, 11):
         full = Counter()
-        for T in enumeration._mask_tables(n):
-            full.update(enumeration._graph_indices(n, T))
+        for tmask in range(1 << (n - 1)):
+            full.update(enumeration._graph_indices(n, enumeration._top_table(n, tmask)))
         assert census_cnk_exhaustive(n) == full, n
 
 
@@ -163,6 +163,18 @@ def test_census_pool_bounded_by_cpus(monkeypatch):
     assert ctx.sizes[-1] == 5
 
 
+def test_forked_table_opens_one_pool(monkeypatch):
+    # every row of the table comes from one forked tally
+    ctx = _FakeContext()
+    monkeypatch.setattr(enumeration, "get_context", lambda method: ctx)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    table = build_table("cnk", 8, workers=2)
+    assert ctx.sizes == [2]
+    golden = load_golden("cnk")
+    assert table.rows == {n: golden.rows[n] for n in range(1, 9)}
+
+
 def test_census_without_fork_is_a_usage_error(monkeypatch):
     def no_fork(method):
         raise ValueError(f"cannot find context for {method!r}")
@@ -189,16 +201,16 @@ def test_graph_indices_match_seaweed_index_per_pair():
     # tallies cannot see per-pair errors that cancel; the verify winding
     # check reads these values pair by pair
     for n in range(1, 8):
-        partners = enumeration._mask_tables(n)
         half = 1 << (n - 1)
         comps = [composition_from_bitmask(n, m) for m in range(half)]
         for tmask in range(half):
-            got = enumeration._graph_indices(n, partners[tmask])
+            T = enumeration._top_table(n, tmask)
+            got = enumeration._graph_indices(n, T)
             want = [seaweed_index(SeaweedType(comps[tmask], bottom))
                     for bottom in comps]
             assert got == want
             # the census's irreducible pairs: bottoms sharing no top cut
-            got = enumeration._graph_indices(n, partners[tmask], tmask)
+            got = enumeration._graph_indices(n, T, tmask)
             assert got == [v for bmask, v in enumerate(want) if not bmask & tmask]
 
 
@@ -220,10 +232,13 @@ def test_graph_indices_match_seaweed_index_at_verify_depth(n):
 def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
     # the kernel seeds its path-end array with the top table itself; a write
     # to it would not show in any tally, so compare the tables
+    top_table = enumeration._top_table
     for n in range(1, 9):
-        tables = {m: enumeration._mask_tables(m) for m in range(1, n + 1)}
+        tables = {(m, mask): top_table(m, mask)
+                  for m in range(1, n + 1) for mask in range(1 << (m - 1))}
         before = copy.deepcopy(tables)
-        monkeypatch.setattr(enumeration, "_mask_tables", lambda m: tables[m])
+        monkeypatch.setattr(enumeration, "_top_table",
+                            lambda m, mask: tables[m, mask])
         assert census_cnk_exhaustive(n) == census_cnk(n)
         monkeypatch.undo()
         assert tables == before, n
@@ -309,8 +324,10 @@ def test_census_guard(monkeypatch, census):
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
         census(0)
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "5")
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded) as e:
         census(6)
+    assert str(e.value) == ("census at n=6 exceeds the limit n <= 5 "
+                            "(set SEAWEEDS_CENSUS_LIMIT to override)")
 
 
 def test_c22_meander_limit_env(monkeypatch):

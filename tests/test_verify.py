@@ -1,6 +1,6 @@
 import pytest
 
-from seaweeds import verify
+from seaweeds import enumeration, verify
 from seaweeds.verify import (
     SUITES,
     CheckResult,
@@ -54,6 +54,22 @@ def test_all_suite_runs_everything():
     assert len(names) >= 12
     assert "winding: winding index equals graph index" in names
     assert "gcd: two parts over two vs meander" in names
+
+
+def test_formulas_suite_tallies_once(monkeypatch):
+    # every census row the suite reads comes from one irreducible tally,
+    # made anew by each run of the suite
+    calls = []
+    census_rows = enumeration._census_rows
+
+    def counted(*args):
+        calls.append(args)
+        return census_rows(*args)
+
+    monkeypatch.setattr(enumeration, "_census_rows", counted)
+    for runs in (1, 2):
+        assert run_suite("formulas").passed
+        assert len(calls) == runs
 
 
 def test_failing_report_formatting():
