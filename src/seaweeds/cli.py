@@ -10,7 +10,7 @@ Commands:
 TYPE is `a1|a2|.../b1|b2|...`, e.g. `2|4/1|2|3` (no whitespace).
 
 Exit codes: 0 success; 1 failed golden check or failed verify suite;
-2 parse/usage error; 3 enumeration limit exceeded; 4 I/O failure.
+2 parse/usage error; 3 enumeration or size limit exceeded; 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import LimitExceeded, ParseError, UsageError
 # importable here because bench/traced.py patches the library calls the CLI
 # resolves at this import site.
 from .meander import (
+    MAX_RENDER_N,
     build_meander,
     component_summary,
     meander_svg,
@@ -160,6 +161,9 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     st = parse_seaweed_type(args.type)
+    if st.n > MAX_RENDER_N:
+        raise LimitExceeded(
+            f"render of n={st.n} exceeds the limit n <= {MAX_RENDER_N}")
     m = build_meander(st)
     text = meander_svg(m) if args.format == "svg" else meander_tikz(m)
     _emit(text, args.output)

@@ -216,6 +216,16 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     return {s - 1: v for s, v in sorted(sums.items())}
 
 
+def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
+    """Rows C(m, .), m = 1..n, from one winding recurrence: the memo of row
+    n holds the state (m, (), ()) of every m < n."""
+    _check_census_limit(n)
+    memo = {}
+    _wind_tally(n, (), (), memo)
+    return {m: {s - 1: v for s, v in sorted(memo[m, (), ()].items())}
+            for m in range(1, n + 1)}
+
+
 def _worker_init() -> None:
     # Leaving the pool stops idle workers with SIGTERM.  A Python-level
     # handler inherited through fork only sets a flag, which a worker about
@@ -419,14 +429,9 @@ def build_table(
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     if kind == "cnk":
-        _check_census_limit(max_n)
         if workers > 1:  # one pool for the whole table
             return IndexTable(kind, _exhaustive_rows(max_n, workers))
-        memo = {}  # row max_n's memo holds (n, (), ()) for every n < max_n
-        _wind_tally(max_n, (), (), memo)
-        return IndexTable(kind, {
-            n: {s - 1: v for s, v in sorted(memo[n, (), ()].items())}
-            for n in range(1, max_n + 1)})
+        return IndexTable(kind, _recurrence_rows(max_n))
     # fail fast before any row is computed
     if kind == "c22" and oracle == "meander":
         _check_c22_meander_limit(max_n)

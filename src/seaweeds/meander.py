@@ -129,6 +129,10 @@ _SPACING = 40
 _MARGIN = 20
 _DOT = 3
 
+# A drawing takes ~120 bytes a vertex (render 100000/100000 wrote 11.8 MB),
+# and one of 10^4 vertices is already 400000 px wide: refuse larger n.
+MAX_RENDER_N = 10**4
+
 
 def meander_svg(m: Meander) -> str:
     x = lambda v: _MARGIN + (v - 1) * _SPACING

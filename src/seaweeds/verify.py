@@ -17,10 +17,10 @@ from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
     _exhaustive_rows,
     _graph_indices,
+    _recurrence_rows,
     _top_table,
     census_c21,
     census_c22,
-    census_cnk,
     load_golden,
 )
 from .errors import LimitExceeded
@@ -46,7 +46,13 @@ from .genfunc import (
     gf_coefficients_by_division,
 )
 from .meander import seaweed_dimension, seaweed_index
-from .winding import _wind_homotopy, format_signature, homotopy_index, wind_down
+from .winding import (
+    _wind_homotopy,
+    _wind_sums,
+    format_signature,
+    homotopy_index,
+    wind_down,
+)
 
 SUITES = ("formulas", "gf", "recursion", "gcd", "winding", "all")
 
@@ -132,7 +138,8 @@ def suite_formulas() -> VerifySuiteReport:
         _run(checks, f"diag{j} closed form vs census", diag_check)
 
     def winding_dp():
-        pairs = [(f"n={n}", census()[n], census_cnk(n))
+        rows = _recurrence_rows(DIAG_CENSUS_MAX_N)
+        pairs = [(f"n={n}", census()[n], rows[n])
                  for n in range(1, DIAG_CENSUS_MAX_N + 1)]
         ok, msg = _mismatches(pairs)
         return ok, f"n=1..{DIAG_CENSUS_MAX_N}, full rows; {msg}"
@@ -322,21 +329,23 @@ def suite_winding() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
     def agreement():
+        # the winding side by the mask recurrence, one move a pair; no graph
+        # value feeds it
+        sums = _wind_sums(WINDING_MAX_N)
         total = 0
         for n in range(1, WINDING_MAX_N + 1):
             half = 1 << (n - 1)
-            parts = [composition_from_bitmask(n, m).parts for m in range(half)]
             for tmask in range(half):
-                tp = parts[tmask]
                 graph = _graph_indices(n, _top_table(n, tmask))
-                for bmask, graph_index in enumerate(graph):
-                    wind_index = sum(_wind_homotopy(tp, parts[bmask])) - 1
-                    if graph_index != wind_index:
-                        return False, (
-                            f"pair (n={n}, {tmask}, {bmask}): graph {graph_index} "
-                            f"!= winding {wind_index}"
-                        )
-                total += half
+                wind = [s - 1 for s in sums[n][tmask * half:(tmask + 1) * half]]
+                if wind == graph:
+                    continue
+                bmask = next(b for b in range(half) if wind[b] != graph[b])
+                return False, (
+                    f"pair (n={n}, {tmask}, {bmask}): graph {graph[bmask]} "
+                    f"!= winding {wind[bmask]}"
+                )
+            total += half * half
         return True, f"all {total} pairs with n<=10 agree"
 
     _run(checks, "winding index equals graph index", agreement)

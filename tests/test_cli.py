@@ -266,6 +266,27 @@ def test_type_over_limit(capsys, monkeypatch, command):
                    "n <= 1000000\n")
 
 
+def test_render_over_limit(capsys, monkeypatch):
+    # refused before a single arc is built
+    def no_arcs(parts):
+        raise AssertionError("arcs built for a refused type")
+
+    monkeypatch.setattr(meander, "_block_edges", no_arcs)
+    n = meander.MAX_RENDER_N + 1
+    code, out, err = run(capsys, "render", f"{n}/{n}")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: render of n={n} exceeds the limit n <= 10000\n"
+
+
+def test_render_at_limit(capsys):
+    n = meander.MAX_RENDER_N
+    code, out, err = run(capsys, "render", f"{n}/{n}", "--format", "tikz")
+    assert code == 0
+    assert err == ""
+    assert out.count(r"\node") == n
+
+
 def test_render_output_io_error(capsys):
     code, _, err = run(capsys, "render", "4/4", "--output", "/nonexistent/x.svg")
     assert code == 4

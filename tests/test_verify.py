@@ -98,18 +98,31 @@ def test_run_captures_exceptions():
     assert checks[1].detail == "all good"
 
 
-def test_winding_check_fails_on_one_pair(monkeypatch):
-    # the graph side comes from the census kernel; one pair whose winding
-    # side is off (the first, so the check stops at once) must fail it
-    wind = verify._wind_homotopy
+def _winding_check_with_one_off_pair(monkeypatch, n, entry):
+    # the graph side comes from the census kernel; the winding side comes
+    # from the mask tables, with one pair's sum off by one
+    wind_sums = verify._wind_sums
 
-    def off_on_first_pair(top, bottom):
-        comps = wind(top, bottom)
-        return comps + (1,) if top == bottom == (1,) else comps
+    def off_on_one_pair(n_max):
+        sums = wind_sums(n_max)
+        sums[n][entry] += 1
+        return sums
 
-    monkeypatch.setattr(verify, "_wind_homotopy", off_on_first_pair)
+    monkeypatch.setattr(verify, "_wind_sums", off_on_one_pair)
     report = run_suite("winding")
-    line = next(line for line in report.format().splitlines()
+    return next(line for line in report.format().splitlines()
                 if "winding index equals graph index" in line)
+
+
+def test_winding_check_fails_on_one_pair(monkeypatch):
+    # the first pair, so the check stops at once
+    line = _winding_check_with_one_off_pair(monkeypatch, 1, 0)
     assert line.startswith("[FAIL] winding index equals graph index")
     assert "pair (n=1, 0, 0): graph 0 != winding 1" in line
+
+
+def test_winding_check_reaches_the_last_pair(monkeypatch):
+    # the last pair of the largest size: 1|...|1 over itself, ten C(1)s
+    line = _winding_check_with_one_off_pair(monkeypatch, 10, -1)
+    assert line.startswith("[FAIL] winding index equals graph index")
+    assert "pair (n=10, 511, 511): graph 9 != winding 10" in line

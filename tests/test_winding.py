@@ -1,12 +1,24 @@
+import math
+import random
+
 import pytest
 
-from seaweeds.compositions import all_compositions, all_pairs, parse_seaweed_type
+from seaweeds.compositions import (
+    Composition,
+    SeaweedType,
+    all_compositions,
+    all_pairs,
+    composition_from_bitmask,
+    parse_seaweed_type,
+)
 from seaweeds.errors import ParseError
 from seaweeds.meander import seaweed_index
 from seaweeds.winding import (
     HomotopyType,
     Move,
     Signature,
+    _wind_homotopy,
+    _wind_sums,
     format_signature,
     homotopy_components,
     homotopy_index,
@@ -191,6 +203,36 @@ def test_homotopy_index_matches_graph_index():
         for st in all_pairs(n):
             _, h = wind_down(st)
             assert homotopy_index(h) == seaweed_index(st)
+
+
+def test_mask_sums_match_kernel():
+    # the mask recurrence against the deque kernel, pair by pair
+    sums = _wind_sums(8)
+    assert [len(t) for t in sums] == [1] + [4 ** (n - 1) for n in range(1, 9)]
+    for n in range(1, 9):
+        half = 1 << (n - 1)
+        parts = [composition_from_bitmask(n, m).parts for m in range(half)]
+        for t in range(half):
+            for b in range(half):
+                assert sums[n][t * half + b] == sum(
+                    _wind_homotopy(parts[t], parts[b])), (n, t, b)
+
+
+def _random_composition(rng, n, mean):
+    cuts = [i for i in range(1, n) if rng.random() * mean < 1] + [n]
+    return Composition(tuple(b - a for a, b in zip([0] + cuts, cuts)))
+
+
+def test_homotopy_index_matches_graph_index_on_large_random_pairs():
+    # n log-uniform in [8, 10^4], mean part size log-uniform in [1, 300]
+    rng = random.Random(1012)
+    for _ in range(60):
+        n = round(math.exp(rng.uniform(math.log(8), math.log(10**4))))
+        mean = math.exp(rng.uniform(0, math.log(300)))
+        st = SeaweedType(_random_composition(rng, n, mean),
+                         _random_composition(rng, n, mean))
+        _, h = wind_down(st)
+        assert homotopy_index(h) == seaweed_index(st), str(st)
 
 
 def test_signature_homotopy_method():
