@@ -3,9 +3,11 @@
 census_cnk(n) tallies the seaweed index over all 4^(n-1) pairs by the
 winding-down recurrence (winding._wind_tally): states are fixed leading parts
 of both compositions, the five moves rewrite only those, and the index is
-sum(C-values) - 1, so a row costs a few thousand memoized states instead of
-4^(n-1) meander walks.  It rests on the theorem that the winding index equals
-the graph index, which the exhaustive path checks row by row.
+sum(C-values) - 1.  The tally of sum(C-values) is one int, 2n bits a sum
+(_unpack_row reads it), and only states that branch over a next part are
+memoized, so a row costs a few hundred memo entries (875 at n = 14) instead
+of 4^(n-1) meander walks.  It rests on the theorem that the winding index
+equals the graph index, which the exhaustive path checks row by row.
 
 census_cnk_exhaustive(n) is that oracle, and census_cnk(n, workers > 1)
 runs it.  It rests on the common-cut lemma: if both compositions cut after
@@ -44,7 +46,7 @@ which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
-omitted); every tally here but the recurrence's counts with Counter.
+omitted); every exhaustive tally here counts with Counter.
 
 Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
 be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
@@ -212,18 +214,29 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     if workers > 1:
         return census_cnk_exhaustive(n, workers)
     _check_census_limit(n)
-    sums = _wind_tally(n, (), (), {})
-    return {s - 1: v for s, v in sorted(sums.items())}
+    return _unpack_row(_wind_tally(n, (), (), {}, 2 * n), 2 * n)
 
 
 def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
     """Rows C(m, .), m = 1..n, from one winding recurrence: the memo of row
-    n holds the state (m, (), ()) of every m < n."""
+    n holds the branch state (m, ()) of every m <= n."""
     _check_census_limit(n)
     memo = {}
-    _wind_tally(n, (), (), memo)
-    return {m: {s - 1: v for s, v in sorted(memo[m, (), ()].items())}
-            for m in range(1, n + 1)}
+    _wind_tally(n, (), (), memo, 2 * n)
+    return {m: _unpack_row(memo[m, ()], 2 * n) for m in range(1, n + 1)}
+
+
+def _unpack_row(packed: int, w: int) -> dict[int, int]:
+    """Index -> count from a packed tally of sum(C-values), w bits a sum
+    (winding._wind_tally); the index is the sum minus one."""
+    row, mask = {}, (1 << w) - 1
+    s = 0
+    while packed:
+        if count := packed & mask:
+            row[s - 1] = count
+        packed >>= w
+        s += 1
+    return row
 
 
 def _worker_init() -> None:

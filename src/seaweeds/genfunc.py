@@ -21,6 +21,10 @@ from .errors import ParseError
 
 Poly = tuple[int, ...]
 
+# A parsed polynomial is a dense tuple, one entry per power up to its degree,
+# so the degree a text may ask for is bounded before anything is allocated.
+MAX_POLY_DEGREE = 10_000
+
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(x(?:\^(\d+))?)?")
 
 
@@ -166,9 +170,16 @@ def parse_poly(text: str) -> Poly:
         if m.group(3) is None:
             power = 0
         elif m.group(4) is not None:
-            power = int(m.group(4))
+            # compare digit counts first: int() of a long digit string is slow
+            # and refused past sys.get_int_max_str_digits()
+            digits = m.group(4).lstrip("0") or "0"
+            power = (int(digits) if len(digits) <= len(str(MAX_POLY_DEGREE))
+                     else MAX_POLY_DEGREE + 1)
         else:
             power = 1
+        if power > MAX_POLY_DEGREE:
+            raise ParseError(
+                f"degree exceeds the limit {MAX_POLY_DEGREE} in {text!r}", pos)
         coeffs[power] = coeffs.get(power, 0) + sign * mag
         pos = m.end()
     out = [0] * (max(coeffs) + 1)

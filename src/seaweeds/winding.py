@@ -24,7 +24,11 @@ index can be recovered from the homotopy type alone.  A component c counts
     index = sum(c_i) - 1
 
 The moves only ever read leading parts, which is what lets _wind_tally count
-the index over all pairs at once by recursing on fixed prefixes.
+the index over all pairs at once on fixed prefixes.  Between two states whose
+top prefix is empty the moves are forced, so it follows them in a loop and
+memoizes only those branch states, keyed (m, bottom prefix); a tally of
+sum(C-values) is one int with a fixed bit width per sum, so a branch adds
+ints and C(c) shifts by c widths.
 
 On cut masks (composition_from_bitmask) the leading part of a mask m is
 (m & -m).bit_length(), or n when m == 0, and every non-F move takes the
@@ -189,43 +193,51 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
 
 
 def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
-                memo: dict) -> dict[int, int]:
-    """Tally of sum(C-values) over all pairs of compositions of m whose top
-    begins with the parts `top` and whose bottom begins with `bottom`.
+                memo: dict, w: int) -> int:
+    """Packed tally of sum(C-values) over all pairs of compositions of m
+    whose top begins with the parts `top` and whose bottom with `bottom`.
 
-    The parts after the prefixes are free.  An empty prefix branches over its
-    next part; otherwise the move the leading parts select rewrites only the
-    prefixes, and every pair sharing them moves alike.  Results are keyed by
-    state in `memo`, which the caller owns and drops: the returned dicts are
-    shared between states and must not be mutated.
+    The count of sum s sits in bits [s*w, (s+1)*w) of the returned int, so w
+    must exceed the bit length of every count: w = 2n holds any count of a
+    census of n, which is at most 4^(n-1).  The parts after the prefixes are
+    free.  While both prefixes are non-empty the move their leading parts
+    select rewrites only the prefixes and every pair sharing them moves
+    alike, so the moves are followed in a loop, C(a) adding a to every sum
+    (a shift by a*w).  The loop stops at a branch state, an empty top prefix
+    after F, which adds up its next part's m choices.  Only branch states
+    are memoized, keyed (m, bottom) in `memo`; the caller owns it, keeps one
+    w for it, and drops it.
     """
-    if top and (not bottom or top[0] < bottom[0]):  # F
-        top, bottom = bottom, top
-    if not m:
-        return {0: 1}
-    key = (m, top, bottom)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not top:
-        got = {}
-        for a in range(1, m + 1):
-            for s, v in _wind_tally(m, (a,), bottom, memo).items():
-                got[s] = got.get(s, 0) + v
-    else:
+    shift = 0
+    while True:
+        if top and (not bottom or top[0] < bottom[0]):  # F
+            top, bottom = bottom, top
+        if not m:
+            return 1 << shift
+        if not top:
+            break
         a, b = top[0], bottom[0]
         if a == b:  # C(a)
-            got = {s + a: v for s, v in
-                   _wind_tally(m - a, top[1:], bottom[1:], memo).items()}
+            m -= a
+            shift += a * w
+            top, bottom = top[1:], bottom[1:]
         elif a < 2 * b:  # R
-            got = _wind_tally(m - (a - b), (b,) + top[1:],
-                              (2 * b - a,) + bottom[1:], memo)
+            m -= a - b
+            top, bottom = (b,) + top[1:], (2 * b - a,) + bottom[1:]
         elif a == 2 * b:  # B
-            got = _wind_tally(m - b, (b,) + top[1:], bottom[1:], memo)
+            m -= b
+            top, bottom = (b,) + top[1:], bottom[1:]
         else:  # P
-            got = _wind_tally(m - b, (a - 2 * b, b) + top[1:], bottom[1:], memo)
-    memo[key] = got
-    return got
+            m -= b
+            top, bottom = (a - 2 * b, b) + top[1:], bottom[1:]
+    key = (m, bottom)
+    got = memo.get(key)
+    if got is None:
+        got = 0
+        for a in range(1, m + 1):
+            got += _wind_tally(m, (a,), bottom, memo, w)
+        memo[key] = got
+    return got << shift
 
 
 def _wind_sums(n_max: int) -> list[bytearray]:

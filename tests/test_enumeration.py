@@ -24,6 +24,7 @@ from seaweeds.enumeration import (
 )
 from seaweeds.compositions import SeaweedType, composition_from_bitmask
 from seaweeds.errors import LimitExceeded, UsageError
+from seaweeds.formulas import DIAGONALS
 from seaweeds.meander import _block_edges, _partners, seaweed_index
 from seaweeds.winding import HomotopyType, homotopy_index
 
@@ -49,6 +50,19 @@ def test_census_matches_golden():
     golden = load_golden("cnk")
     for n in range(1, 11):
         assert census_cnk(n) == census_cnk_exhaustive(n) == golden.rows[n]
+
+
+def test_recurrence_rows_past_the_exhaustive_reach(monkeypatch):
+    # 2n bits a count: every row of n = 20 must still add up to 4^(m-1) and
+    # agree with the closed-form diagonals, so no count spills into the next
+    monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "20")
+    rows = enumeration._recurrence_rows(20)
+    assert sorted(rows) == list(range(1, 21))
+    for m, row in rows.items():
+        assert sum(row.values()) == 4 ** (m - 1), m
+        for j, diag in DIAGONALS.items():
+            if m >= j:
+                assert row.get(m - j, 0) == diag(m), (m, j)
 
 
 def test_census_frees_its_memo():

@@ -3,6 +3,7 @@ import pytest
 from seaweeds.errors import ParseError
 from seaweeds.formulas import c_diag1, c_diag2, c_diag3
 from seaweeds.genfunc import (
+    MAX_POLY_DEGREE,
     RationalGF,
     builtin_gfs,
     denominator_power_of_1_minus_2x,
@@ -69,6 +70,18 @@ def test_parse_poly_error_position():
         assert e.position == 3
     else:
         pytest.fail("no error raised")
+
+
+def test_parse_poly_bounds_the_degree():
+    assert parse_poly(f"x^{MAX_POLY_DEGREE}") == (0,) * MAX_POLY_DEGREE + (1,)
+    assert parse_poly("x^0007") == (0,) * 7 + (1,)
+    # refused at the term, before a dense list of that length is built; a
+    # digit string past int()'s limit is refused the same way
+    for text, pos in [(f"1+x^{MAX_POLY_DEGREE + 1}", 1), ("x^999999999", 0),
+                      ("2-3x^" + "9" * 5000, 1)]:
+        with pytest.raises(ParseError, match="exceeds the limit") as e:
+            parse_poly(text)
+        assert e.value.position == pos
 
 
 def test_rational_gf_validates_denominator():

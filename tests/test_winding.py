@@ -19,6 +19,7 @@ from seaweeds.winding import (
     Signature,
     _wind_homotopy,
     _wind_sums,
+    _wind_tally,
     format_signature,
     homotopy_components,
     homotopy_index,
@@ -216,6 +217,16 @@ def test_mask_sums_match_kernel():
             for b in range(half):
                 assert sums[n][t * half + b] == sum(
                     _wind_homotopy(parts[t], parts[b])), (n, t, b)
+
+
+def test_recurrence_memoizes_only_branch_states():
+    # moves between branch states are followed, not memoized; keying every
+    # state (m, top, bottom) held 10125 entries here
+    memo = {}
+    _wind_tally(14, (), (), memo, 28)
+    assert len(memo) == 875
+    assert all(len(key) == 2 and isinstance(key[0], int)
+               and isinstance(key[1], tuple) for key in memo)
 
 
 def _random_composition(rng, n, mean):
