@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import LimitExceeded, ParseError
+from .errors import LimitExceeded, ParseError, read_int
 
 # A parsed type builds n vertices and up to n arcs (index, wind, render):
 # refuse larger n before any is built.  n = 10^6 takes seconds and a few
@@ -133,12 +133,7 @@ def parse_composition(text: str) -> Composition:
             pass  # a part longer than int() takes; placed below
     pos = 0
     for part in m.group().split("|"):
-        try:
-            int(part)
-        except ValueError:
-            raise ParseError(
-                f"part of {len(part)} digits is too long to read", pos
-            ) from None
+        read_int(part, "part", pos)
         pos += len(part) + 1
     if text[end] == "|":
         raise ParseError(f"expected part in {text!r}", end + 1)

@@ -20,11 +20,12 @@ Every pair factors uniquely at its common cuts into irreducible pairs (no
 common internal cut).  Each of the m-1 cut positions of size m is cut by the
 top, by the bottom or by neither, so there are 3^(m-1) irreducible pairs of
 size m, not 4^(m-1).  _census_rows tallies index + 1 over the irreducible
-pairs of every size m <= n, g_m, and _compose convolves them: F_0 = {0: 1},
-F_n = sum over m = 1..n of g_m * F_(n-m) (keys add, counts multiply), and
-C(n, k) = F_n[k + 1].  So one tally gives every row C(m, .), m <= n
-(_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step of n
-costs ~3x.
+pairs of every size m <= n, g_m, packed like the recurrence's rows, so g_m
+is the polynomial sum of count * y^(index + 1) at y = 2^(2n).  _compose
+multiplies them as ints: F_0 = 1, F_n = sum over m = 1..n of g_m * F_(n-m),
+and C(n, k) is field k + 1 of F_n.  So one tally gives every row C(m, .),
+m <= n (_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step
+of n costs ~3x.
 
 Given a top partner table (1-based, as meander._partners builds it; it also
 gives the top's arc count) and the top's cuts, _graph_indices grows the
@@ -41,12 +42,12 @@ census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
 [tstart >> (n-m), tstop >> (n-m)) and builds the top tables of that range
 only; floor-shifting a partition of [0, 2^(n-1)) gives a partition of
 [0, 2^(m-1)).  Forked, each process takes one range, cut so each holds an
-equal share of the irreducible pairs; the parts merge by Counter.update,
-which commutes, so the result never depends on the split.
+equal share of the irreducible pairs; the parts' packed tallies add size
+by size, which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
-omitted); every exhaustive tally here counts with Counter.
+omitted); every row C(n, .), either way, is decoded by _unpack_row.
 
 Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
 be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
@@ -188,18 +189,19 @@ def _graph_indices(n: int, T: list[int], tcuts: int = 0) -> list[int]:
     return out
 
 
-def _census_rows(n: int, tstart: int, tstop: int) -> Counter:
-    """Tally of (m, index + 1) over the irreducible pairs of each size
-    m <= n whose top mask lies in [tstart >> (n - m), tstop >> (n - m));
-    the parallel work unit."""
-    counts = Counter()
+def _census_rows(n: int, tstart: int, tstop: int) -> list[int]:
+    """Entry m: packed tally of index + 1 (2n bits a sum, _unpack_row) over
+    the irreducible pairs of size m whose top mask lies in
+    [tstart >> (n - m), tstop >> (n - m)); entry 0 is 0.  The parallel
+    work unit."""
+    rows = [0]
     for m in range(1, n + 1):
         lo, hi = tstart >> (n - m), tstop >> (n - m)
         row = Counter()
         for tmask in range(lo, hi):
             row.update(_graph_indices(m, _top_table(m, tmask), tmask))
-        counts.update({(m, k + 1): c for k, c in row.items()})
-    return counts
+        rows.append(sum(c << (k + 1) * 2 * n for k, c in row.items()))
+    return rows
 
 
 def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
@@ -213,8 +215,7 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     """
     if workers > 1:
         return census_cnk_exhaustive(n, workers)
-    _check_census_limit(n)
-    return _unpack_row(_wind_tally(n, (), (), {}, 2 * n), 2 * n)
+    return _recurrence_rows(n)[n]
 
 
 def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
@@ -280,31 +281,26 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
             while acc * procs >= 3 ** (n - 1) * len(cuts):
                 cuts.append(tmask + 1)
         jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        irreducible = Counter()
         with ctx.Pool(procs, initializer=_worker_init) as pool:
-            for part in pool.starmap(_census_rows, jobs):
-                irreducible.update(part)
+            irreducible = list(map(sum, zip(*pool.starmap(_census_rows, jobs))))
     return _compose(n, irreducible)
 
 
-def _compose(n: int, irreducible: Counter) -> dict[int, dict[int, int]]:
-    """Rows C(size, .), size = 1..n, from the tally of (m, index + 1).
+def _compose(n: int, g: list[int]) -> dict[int, dict[int, int]]:
+    """Rows C(size, .), size = 1..n, from the packed irreducible tallies g
+    (_census_rows).
 
-    The tally runs over irreducible pairs.  Pairs factor uniquely at their
-    common cuts and index + 1 adds over the factors, so with g_m the tally at
-    size m, F_0 = {0: 1} and F_size = sum over m of g_m * F_(size - m) (keys
-    add, counts multiply), C(size, k) = F_size[k + 1].
+    Pairs factor uniquely at their common cuts and index + 1 adds over the
+    factors, so a row is a polynomial in y = 2^(2n) and F_0 = 1,
+    F_size = sum over m of g[m] * F[size - m] by integer multiplication,
+    C(size, k) = field k + 1 of F_size.  No field carries: each coefficient
+    of a product counts distinct pairs of one size <= n, so it is at most
+    4^(n-1) < 2^(2n).
     """
-    rows = [{0: 1}]
+    F = [1]
     for size in range(1, n + 1):
-        row = Counter()
-        for (m, s), g in irreducible.items():
-            if m <= size:
-                for t, f in rows[size - m].items():
-                    row[s + t] += g * f
-        rows.append(row)
-    return {size: {s - 1: c for s, c in sorted(rows[size].items())}
-            for size in range(1, n + 1)}
+        F.append(sum(g[m] * F[size - m] for m in range(1, size + 1)))
+    return {size: _unpack_row(F[size], 2 * n) for size in range(1, n + 1)}
 
 
 def census_cnk_naive(n: int) -> dict[int, int]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parsers' int reader."""
 
 
 class ParseError(ValueError):
@@ -21,3 +21,14 @@ class LimitExceeded(RuntimeError):
 
 class UsageError(ValueError):
     """A command-line argument or environment setting the program cannot use."""
+
+
+def read_int(digits: str, what: str, position: int | None = None) -> int:
+    """int(digits), or a ParseError if digits is longer than int() takes
+    (sys.get_int_max_str_digits())."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"{what} of {len(digits)} digits is too long to read", position
+        ) from None

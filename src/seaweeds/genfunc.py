@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, read_int
 
 Poly = tuple[int, ...]
 
@@ -166,7 +166,7 @@ def parse_poly(text: str) -> Poly:
         sign = -1 if m.group(1) == "-" else 1
         if pos > 0 and m.group(1) == "":
             raise ParseError(f"missing sign between terms in {text!r}", pos)
-        mag = int(m.group(2)) if m.group(2) is not None else 1
+        mag = 1 if m.group(2) is None else read_int(m.group(2), "coefficient", pos)
         if m.group(3) is None:
             power = 0
         elif m.group(4) is not None:

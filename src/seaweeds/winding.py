@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .compositions import Composition, SeaweedType
-from .errors import ParseError
+from .errors import ParseError, read_int
 
 _SIG_TOKEN = re.compile(r"[FRBP]|C\((\d+)\)")
 
@@ -310,7 +310,7 @@ def parse_signature(text: str) -> Signature:
         if not m:
             raise ParseError(f"bad signature token in {text!r}", pos)
         if m.group().startswith("C"):
-            size = int(m.group(1))
+            size = read_int(m.group(1), "C size", pos)
             if size < 1:
                 raise ParseError(f"C size must be positive in {text!r}", pos)
             moves.append(Move("C", size))
@@ -324,7 +324,7 @@ def parse_homotopy_type(text: str) -> HomotopyType:
     m = re.fullmatch(r"H\((\d+(?:,\d+)*)\)", text)
     if not m:
         raise ParseError(f"bad homotopy type {text!r}")
-    comps = tuple(int(c) for c in m.group(1).split(","))
+    comps = tuple(read_int(c, "component") for c in m.group(1).split(","))
     if any(c < 1 for c in comps):
         raise ParseError(f"components must be positive in {text!r}")
     return HomotopyType(comps)

@@ -94,11 +94,11 @@ def test_census_rows_split_anywhere():
             cuts = [0] + inner + [half]
             parts = [enumeration._census_rows(n, lo, hi)
                      for lo, hi in zip(cuts, cuts[1:])]
-            merged = sum(parts, Counter())
+            merged = list(map(sum, zip(*parts)))
             assert merged == whole, (n, cuts)
             assert enumeration._compose(n, merged)[n] == want, (n, cuts)
-        assert enumeration._census_rows(n, half, half) == {}
-        assert enumeration._census_rows(n, 0, 0) == {}
+        assert enumeration._census_rows(n, half, half) == [0] * (n + 1)
+        assert enumeration._census_rows(n, 0, 0) == [0] * (n + 1)
 
 
 def test_census_composes_the_full_rows():
@@ -110,19 +110,28 @@ def test_census_composes_the_full_rows():
         assert census_cnk_exhaustive(n) == full, n
 
 
+def test_compose_keeps_every_pair_in_one_field():
+    # every pair factors uniquely into irreducibles, 3^(m-1) of size m: with
+    # all of them in field 0, each row holds all 4^(size-1) pairs there, and
+    # only a field of at least 2n - 1 bits holds 4^(n-1) without a carry
+    n = 14
+    rows = enumeration._compose(n, [0] + [3 ** (m - 1) for m in range(1, n + 1)])
+    assert rows == {size: {-1: 4 ** (size - 1)} for size in range(1, n + 1)}
+
+
 def test_irreducible_pairs_per_size():
     # pairs without a common internal cut: top, bottom or neither cuts at
     # each of the m - 1 positions
     n = 12
-    sizes = Counter()
-    for (m, _), count in enumeration._census_rows(n, 0, 1 << (n - 1)).items():
-        sizes[m] += count
-    assert sizes == {m: 3 ** (m - 1) for m in range(1, n + 1)}
+    rows = enumeration._census_rows(n, 0, 1 << (n - 1))
+    sizes = [sum(enumeration._unpack_row(packed, 2 * n).values()) for packed in rows]
+    assert sizes == [0] + [3 ** (m - 1) for m in range(1, n + 1)]
 
 
 def _sigterm_is_default(n, tstart, tstop):
     # one irreducible pair of size n, of index 1 if SIGTERM is default, else 0
-    return {(n, 1 + (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)): 1}
+    s = 1 + (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    return [0] * n + [1 << s * 2 * n]
 
 
 def test_census_pool_workers_take_default_sigterm(monkeypatch):

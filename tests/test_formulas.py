@@ -1,8 +1,10 @@
+import math
+import random
 from math import gcd
 
 import pytest
 
-from seaweeds.compositions import all_pairs
+from seaweeds.compositions import Composition, SeaweedType, all_pairs
 from seaweeds.enumeration import census_c21, census_c22, census_cnk
 from seaweeds.formulas import (
     c21,
@@ -24,7 +26,7 @@ from seaweeds.formulas import (
     recursion_check,
     recursion_lhs,
 )
-from seaweeds.meander import build_meander, component_summary
+from seaweeds.meander import build_meander, component_summary, seaweed_index
 
 
 def test_diag1_values():
@@ -201,6 +203,29 @@ def test_gcd_index_examples():
         gcd_index_2parts(0, 1)
     with pytest.raises(ValueError):
         gcd_index_3parts(1, 0, 1)
+
+
+def test_gcd_formulas_on_large_random_types():
+    # 20 seeded types of each shape, n log-uniform in [3, 10^5]
+    rng = random.Random(1015)
+
+    def draw_n():
+        return round(math.exp(rng.uniform(math.log(3), math.log(10**5))))
+
+    def index(top, bottom):
+        return seaweed_index(SeaweedType(Composition(top), Composition(bottom)))
+
+    for _ in range(20):
+        n = draw_n()
+        a = rng.randint(1, n - 1)
+        assert index((a, n - a), (n,)) == gcd_index_2parts(a, n - a), (a, n)
+        n = draw_n()
+        i, j = sorted(rng.sample(range(1, n), 2))
+        a, b, c = i, j - i, n - j
+        assert index((a, b, c), (n,)) == gcd_index_3parts(a, b, c), (a, b, c)
+        n = draw_n()
+        a, c = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        assert index((a, n - a), (c, n - c)) == gcd_index_3parts(a, n - a, c), (a, c, n)
 
 
 def test_c21_values():
