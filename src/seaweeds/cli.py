@@ -88,9 +88,8 @@ def build_parser(census_max_n: int, c22_max_n: int) -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["gcd", "meander"], default="gcd",
                    help="index oracle for c22 tables")
     p.add_argument("--workers", type=int, default=1,
-                   help="cnk: N > 1 runs the exhaustive meander census on N "
-                        "fork workers, a cross-check of the default serial "
-                        "recurrence")
+                   help="cnk: N > 1 runs the exhaustive meander census on up to N "
+                        "fork workers, a cross-check of the default serial recurrence")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--check-golden", action="store_true",
                    help="compare against the shipped reference table")

@@ -28,16 +28,17 @@ m <= n (_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step
 of n costs ~3x.
 
 Given a top partner table (1-based, as meander._partners builds it; it also
-gives the top's arc count) and the top's cuts, _graph_indices grows the
+gives the top's arc count) and the top's cuts, _graph_sums grows the
 bottom compositions that avoid those cuts as a prefix tree, adding each
 block's arcs once for all that share the prefix, and joins path ends arc by
 arc, at amortized O(1) a pair:
 
-    index = 2*cycles + n - E - 1
+    index + 1 = 2*cycles + n - E
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E and 2*cycles + paths - 1 needs no path counted.  Verify's
-per-pair winding check runs it over every bottom (no cuts avoided).  The
+paths = n - E needs no path counted.  It writes one byte a bottom, as a row
+of winding._wind_sums, and verify's per-pair winding check compares the two
+byte for byte over every bottom (no cuts avoided).  The
 census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
 [tstart >> (n-m), tstop >> (n-m)) and builds the top tables of that range
 only; floor-shifting a partition of [0, 2^(n-1)) gives a partition of
@@ -146,25 +147,25 @@ def _bottom_blocks(n: int) -> tuple:
         for p in range(n + 1))
 
 
-def _graph_indices(n: int, T: list[int], tcuts: int = 0) -> list[int]:
-    """Graph index of top table T over each bottom mask without a cut in
-    tcuts, in mask order.
+def _graph_sums(n: int, T: list[int], tcuts: int = 0) -> bytearray:
+    """Graph index + 1 of top table T over each bottom mask without a cut in
+    tcuts, one byte each in mask order (a byte holds it while n < 256).
 
     T alone gives the top's arc count tarcs: one arc per vertex u < T[u].
     Depth first over _bottom_blocks, a node holds a path-end array, seeded
     with T (end[u] = far end of the path ending at u), and the running value
-    n - tarcs - 1 + 2*cycles - barcs.  A bottom arc (u, w) closes a cycle if
+    n - tarcs + 2*cycles - barcs.  A bottom arc (u, w) closes a cycle if
     end[u] == w (+1); else the far ends x, y of u and w now end one path
-    (end[x], end[y] = y, x; -1).  At a leaf the value is the index, since
+    (end[x], end[y] = y, x; -1).  At a leaf the value is index + 1, since
     paths = n - E.  Only blocks with arcs copy the array, so T is never
     written.  A block whose cut bit is in tcuts is skipped with its subtree:
     with tcuts = the top's mask, only the pairs sharing no cut with the top
     remain, the irreducible pairs of the exhaustive census.
     """
     blocks = _bottom_blocks(n)
-    out = []
+    out = bytearray()
     tarcs = sum(u < w for u, w in enumerate(T))
-    stack = [(n, T, n - tarcs - 1)]
+    stack = [(n, T, n - tarcs)]
     while stack:
         p, end, val = stack.pop()
         for q, bit, arcs in blocks[p]:
@@ -197,10 +198,9 @@ def _census_rows(n: int, tstart: int, tstop: int) -> list[int]:
     rows = [0]
     for m in range(1, n + 1):
         lo, hi = tstart >> (n - m), tstop >> (n - m)
-        row = Counter()
-        for tmask in range(lo, hi):
-            row.update(_graph_indices(m, _top_table(m, tmask), tmask))
-        rows.append(sum(c << (k + 1) * 2 * n for k, c in row.items()))
+        sums = b"".join(_graph_sums(m, _top_table(m, tmask), tmask)
+                        for tmask in range(lo, hi))
+        rows.append(sum(sums.count(s) << s * 2 * n for s in range(1, m + 1)))
     return rows
 
 

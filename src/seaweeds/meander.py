@@ -76,7 +76,7 @@ def component_summary(m: Meander) -> ComponentSummary:
     Every vertex is visited once, by walks that go one way: one from an end of
     each path (a vertex with no arc in some layer), then one round each cycle.
     Paths are not counted on the walk: paths = n - E (E arcs in both layers).
-    The census kernel enumeration._graph_indices walks nothing: it joins path
+    The census kernel enumeration._graph_sums walks nothing: it joins path
     ends arc by arc, which counts cycles but lists no vertex sets.
     """
     top = _partners(m.n, m.top_edges)

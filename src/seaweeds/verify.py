@@ -16,7 +16,7 @@ from functools import cache
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
     _exhaustive_rows,
-    _graph_indices,
+    _graph_sums,
     _recurrence_rows,
     _top_table,
     census_c21,
@@ -161,7 +161,7 @@ def suite_formulas() -> VerifySuiteReport:
             for k in range(0, n):
                 pairs.append((f"(n={n},k={k})", brute.get(k, 0), c21(n, k)))
         ok, msg = _mismatches(pairs)
-        return ok, f"n<=60, all k; {msg}"
+        return ok, f"n<={C21_MAX_N}, all k; {msg}"
 
     _run(checks, "c21 formula vs gcd brute force", c21_brute)
 
@@ -172,7 +172,7 @@ def suite_formulas() -> VerifySuiteReport:
             for k in range(0, n):
                 pairs.append((f"(n={n},k={k})", brute.get(k, 0), c22(n, k)))
         ok, msg = _mismatches(pairs)
-        return ok, f"n<=40, all k; {msg}"
+        return ok, f"n<={C22_GCD_MAX_N}, all k; {msg}"
 
     _run(checks, "c22 formula vs gcd brute force", c22_brute)
 
@@ -180,7 +180,7 @@ def suite_formulas() -> VerifySuiteReport:
         pairs = [(f"n={n}", census_c22(n, "gcd"), census_c22(n, "meander"))
                  for n in range(2, C22_MEANDER_MAX_N + 1)]
         ok, msg = _mismatches(pairs)
-        return ok, f"n<=14; {msg}"
+        return ok, f"n<={C22_MEANDER_MAX_N}; {msg}"
 
     _run(checks, "c22 gcd oracle vs meander oracle", c22_oracles)
 
@@ -188,13 +188,15 @@ def suite_formulas() -> VerifySuiteReport:
         pairs = [(f"t={t}", t * euler_phi(t), 2 * coprime_sum(t))
                  for t in range(3, TOTIENT_SUM_MAX_T + 1)]
         ok, msg = _mismatches(pairs)
-        return ok, f"sum of coprimes below t is t*phi(t)/2, t=3..200; {msg}"
+        return ok, ("sum of coprimes below t is t*phi(t)/2, "
+                    f"t=3..{TOTIENT_SUM_MAX_T}; {msg}")
 
     _run(checks, "coprime-sum totient identity", totient_sum)
 
     def ident1():
         bad = [n for n in range(1, IDENTITY_MAX_N + 1) if not identity_k2k(n)]
-        return not bad, f"sum (n-k)2^k == 2^(n+1)-2n-2 for n=1..30; failures: {bad}"
+        return not bad, (f"sum (n-k)2^k == 2^(n+1)-2n-2 for n=1..{IDENTITY_MAX_N}; "
+                         f"failures: {bad}")
 
     _run(checks, "aux identity 1 exact", ident1)
 
@@ -207,7 +209,7 @@ def suite_formulas() -> VerifySuiteReport:
             "stated RHS 4-3*2^n+n*2^n "
             + ("never fails" if first_bad is None else f"first fails at n={first_bad}")
             + f" (n=2: lhs={rows[1].lhs}, stated rhs={rows[1].rhs_stated}); "
-            + f"fitted RHS (n-3)*2^n+n+3 matches n=1..30: {fitted_ok}"
+            + f"fitted RHS (n-3)*2^n+n+3 matches n=1..{IDENTITY_MAX_N}: {fitted_ok}"
         )
         return expected, detail
 
@@ -248,13 +250,14 @@ def suite_gf() -> VerifySuiteReport:
 
     def vs_golden():
         golden = load_golden("cnk")
+        _, top = golden.n_range()
         pairs = []
         for j in DIAGONALS:
-            coeffs = gf_coefficients(gfs[j], 10)
-            for n in range(j, 11):
+            coeffs = gf_coefficients(gfs[j], top)
+            for n in range(j, top + 1):
                 pairs.append((f"(j={j},n={n})", golden.cell(n, n - j), coeffs[n]))
         ok, msg = _mismatches(pairs)
-        return ok, f"series vs reference table diagonals, n<=10; {msg}"
+        return ok, f"series vs reference table diagonals, n<={top}; {msg}"
 
     _run(checks, "series vs reference table", vs_golden)
     return VerifySuiteReport("gf", tuple(checks))
@@ -289,7 +292,7 @@ def suite_gcd() -> VerifySuiteReport:
                 pairs.append((f"{a}|{n - a}/{n}", gcd_index_2parts(a, n - a),
                               seaweed_index(st)))
         ok, msg = _mismatches(pairs)
-        return ok, f"a+b<=40 ({len(pairs)} types); {msg}"
+        return ok, f"a+b<={GCD_2PARTS_MAX_N} ({len(pairs)} types); {msg}"
 
     _run(checks, "two parts over one vs meander", two_parts)
 
@@ -304,7 +307,7 @@ def suite_gcd() -> VerifySuiteReport:
                     st = SeaweedType(Composition((a, b, c)), whole)
                     pairs.append((f"{a}|{b}|{c}/{n}", want, seaweed_index(st)))
         ok, msg = _mismatches(pairs)
-        return ok, f"a+b+c<=25 ({len(pairs)} types); {msg}"
+        return ok, f"a+b+c<={GCD_3PARTS_MAX_N} ({len(pairs)} types); {msg}"
 
     _run(checks, "three parts over one vs meander", three_parts)
 
@@ -319,7 +322,8 @@ def suite_gcd() -> VerifySuiteReport:
                                      Composition((c, n - c)))
                     pairs.append((f"{a}|{b}/{c}|{n - c}", want, seaweed_index(st)))
         ok, msg = _mismatches(pairs)
-        return ok, f"two parts over two, n<=25 ({len(pairs)} types); {msg}"
+        return ok, (f"two parts over two, n<={GCD_3PARTS_MAX_N} "
+                    f"({len(pairs)} types); {msg}")
 
     _run(checks, "two parts over two vs meander", two_over_two)
     return VerifySuiteReport("gcd", tuple(checks))
@@ -329,24 +333,21 @@ def suite_winding() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
     def agreement():
-        # the winding side by the mask recurrence, one move a pair; no graph
-        # value feeds it
+        # both sides are index + 1, a byte a pair: the winding side by the mask
+        # recurrence, one move a pair, and no graph value feeds it
         sums = _wind_sums(WINDING_MAX_N)
         total = 0
         for n in range(1, WINDING_MAX_N + 1):
             half = 1 << (n - 1)
-            for tmask in range(half):
-                graph = _graph_indices(n, _top_table(n, tmask))
-                wind = [s - 1 for s in sums[n][tmask * half:(tmask + 1) * half]]
-                if wind == graph:
-                    continue
-                bmask = next(b for b in range(half) if wind[b] != graph[b])
+            graph = b"".join(_graph_sums(n, _top_table(n, t)) for t in range(half))
+            if graph != sums[n]:
+                i = next(i for i, g in enumerate(graph) if g != sums[n][i])
                 return False, (
-                    f"pair (n={n}, {tmask}, {bmask}): graph {graph[bmask]} "
-                    f"!= winding {wind[bmask]}"
+                    f"pair (n={n}, {i >> (n - 1)}, {i & (half - 1)}): "
+                    f"graph {graph[i] - 1} != winding {sums[n][i] - 1}"
                 )
-            total += half * half
-        return True, f"all {total} pairs with n<=10 agree"
+            total += len(graph)
+        return True, f"all {total} pairs with n<={WINDING_MAX_N} agree"
 
     _run(checks, "winding index equals graph index", agreement)
 
@@ -381,12 +382,12 @@ def suite_winding() -> VerifySuiteReport:
     _run(checks, "equal index, distinct homotopy witness", finer_than_index)
 
     def same_composition():
-        for n in range(1, 11):
+        for n in range(1, WINDING_MAX_N + 1):
             for mask in range(1 << (n - 1)):
                 p = composition_from_bitmask(n, mask).parts
                 if _wind_homotopy(p, p) != p:
                     return False, f"p/p gave {_wind_homotopy(p, p)} for parts {p}"
-        return True, "wind(p/p) returns the parts of p, n<=10"
+        return True, f"wind(p/p) returns the parts of p, n<={WINDING_MAX_N}"
 
     _run(checks, "same-composition homotopy", same_composition)
     return VerifySuiteReport("winding", tuple(checks))

@@ -106,7 +106,8 @@ def test_census_composes_the_full_rows():
     for n in range(1, 11):
         full = Counter()
         for tmask in range(1 << (n - 1)):
-            full.update(enumeration._graph_indices(n, enumeration._top_table(n, tmask)))
+            T = enumeration._top_table(n, tmask)
+            full.update(s - 1 for s in enumeration._graph_sums(n, T))
         assert census_cnk_exhaustive(n) == full, n
 
 
@@ -228,13 +229,13 @@ def test_graph_indices_match_seaweed_index_per_pair():
         comps = [composition_from_bitmask(n, m) for m in range(half)]
         for tmask in range(half):
             T = enumeration._top_table(n, tmask)
-            got = enumeration._graph_indices(n, T)
-            want = [seaweed_index(SeaweedType(comps[tmask], bottom))
+            got = enumeration._graph_sums(n, T)
+            want = [seaweed_index(SeaweedType(comps[tmask], bottom)) + 1
                     for bottom in comps]
-            assert got == want
+            assert got == bytes(want)
             # the census's irreducible pairs: bottoms sharing no top cut
-            got = enumeration._graph_indices(n, T, tmask)
-            assert got == [v for bmask, v in enumerate(want) if not bmask & tmask]
+            got = enumeration._graph_sums(n, T, tmask)
+            assert got == bytes(v for bmask, v in enumerate(want) if not bmask & tmask)
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -246,10 +247,10 @@ def test_graph_indices_match_seaweed_index_at_verify_depth(n):
     comps = [composition_from_bitmask(n, m) for m in range(half)]
     for tmask in [0, half - 1] + rng.sample(range(1, half - 1), 2):
         edges = _block_edges(comps[tmask].parts)
-        got = enumeration._graph_indices(n, _partners(n, edges))
-        want = [seaweed_index(SeaweedType(comps[tmask], bottom))
+        got = enumeration._graph_sums(n, _partners(n, edges))
+        want = [seaweed_index(SeaweedType(comps[tmask], bottom)) + 1
                 for bottom in comps]
-        assert got == want, tmask
+        assert got == bytes(want), tmask
 
 
 def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
@@ -341,7 +342,7 @@ def test_census_guard(monkeypatch, census):
     def no_pairs(*args):
         raise AssertionError("a pair was computed")
 
-    for name in ("_wind_tally", "_graph_indices", "seaweed_index",
+    for name in ("_wind_tally", "_graph_sums", "seaweed_index",
                  "_wind_homotopy"):
         monkeypatch.setattr(enumeration, name, no_pairs)
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):

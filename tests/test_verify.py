@@ -126,3 +126,33 @@ def test_winding_check_reaches_the_last_pair(monkeypatch):
     line = _winding_check_with_one_off_pair(monkeypatch, 10, -1)
     assert line.startswith("[FAIL] winding index equals graph index")
     assert "pair (n=10, 511, 511): graph 9 != winding 10" in line
+
+
+def test_winding_check_names_a_middle_pair(monkeypatch):
+    # top 1|2|4 (mask 5) over bottom 1|3|3 (mask 9): both masks nonzero and
+    # not maximal, so a swapped or shifted (tmask, bmask) names another pair
+    line = _winding_check_with_one_off_pair(monkeypatch, 7, 5 << 6 | 9)
+    assert line.startswith("[FAIL] winding index equals graph index")
+    assert "pair (n=7, 5, 9): graph 1 != winding 2" in line
+
+
+def test_details_and_loops_follow_the_bounds(monkeypatch):
+    # each detail states the bound its loop runs to, read from one constant
+    c21_rows, wound = [], set()
+    census_c21, wind_homotopy = verify.census_c21, verify._wind_homotopy
+    monkeypatch.setattr(verify, "census_c21",
+                        lambda n: c21_rows.append(n) or census_c21(n))
+    monkeypatch.setattr(verify, "_wind_homotopy",
+                        lambda t, b: wound.add(sum(t)) or wind_homotopy(t, b))
+    monkeypatch.setattr(verify, "C21_MAX_N", 7)
+    monkeypatch.setattr(verify, "WINDING_MAX_N", 4)
+    c21 = next(c for c in run_suite("formulas").checks
+               if c.name == "c21 formula vs gcd brute force")
+    assert c21.detail == "n<=7, all k; all equal"
+    assert c21_rows == list(range(2, 8))
+    details = {c.name: c.detail for c in run_suite("winding").checks}
+    assert details["winding index equals graph index"] == (
+        "all 85 pairs with n<=4 agree")  # 1 + 4 + 16 + 64
+    assert details["same-composition homotopy"] == (
+        "wind(p/p) returns the parts of p, n<=4")
+    assert wound == {1, 2, 3, 4}
