@@ -15,10 +15,10 @@ from functools import cache
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
-    _exhaustive_rows,
     _graph_sums,
     _recurrence_rows,
     _top_table,
+    _transfer_rows,
     census_c21,
     census_c22,
     load_golden,
@@ -124,9 +124,9 @@ def _mismatches(pairs) -> tuple[bool, str]:
 def suite_formulas() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
-    @cache  # one exhaustive pass, run and timed by the first check to read it
+    @cache  # one transfer sweep, run and timed by the first check to read it
     def census():
-        return _exhaustive_rows(DIAG_CENSUS_MAX_N, 1)
+        return _transfer_rows(DIAG_CENSUS_MAX_N)
 
     for j, fn in DIAGONALS.items():
         def diag_check(j=j, fn=fn):
@@ -144,7 +144,7 @@ def suite_formulas() -> VerifySuiteReport:
         ok, msg = _mismatches(pairs)
         return ok, f"n=1..{DIAG_CENSUS_MAX_N}, full rows; {msg}"
 
-    _run(checks, "cnk winding DP vs exhaustive census", winding_dp)
+    _run(checks, "cnk winding DP vs transfer census", winding_dp)
 
     def longform():
         pairs = [(f"n={n}", c_diag3(n), c_diag3_longform(n))

@@ -337,7 +337,7 @@ def test_verify_refused_census_exits_3(capsys, monkeypatch):
     # a census the limit refuses disproves no formula: exit 3, not 1
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "5")
     with pytest.raises(LimitExceeded) as e:
-        enumeration.census_cnk_exhaustive(verify.DIAG_CENSUS_MAX_N)
+        enumeration._transfer_rows(verify.DIAG_CENSUS_MAX_N)
     code, out, err = run(capsys, "verify", "formulas")
     assert code == 3
     assert out == ""
@@ -346,15 +346,34 @@ def test_verify_refused_census_exits_3(capsys, monkeypatch):
 
 def test_verify_census_error_is_a_failed_check(capsys, monkeypatch):
     # any other error of the census fails the check that runs it first
-    def broken(n, tstart, tstop):
-        raise RuntimeError("broken tally")
+    def broken(closing, depth, left):
+        raise RuntimeError("broken sweep")
 
-    monkeypatch.setattr(enumeration, "_census_rows", broken)
+    monkeypatch.setattr(enumeration, "_side_moves", broken)
     code, out, _ = run(capsys, "verify", "formulas")
     assert code == 1
     first = out.splitlines()[0]
     assert first.startswith("[FAIL] diag1 closed form vs census (")
-    assert first.endswith(": raised RuntimeError: broken tally")
+    assert first.endswith(": raised RuntimeError: broken sweep")
+
+
+def test_verify_names_a_faulty_transfer_row(capsys, monkeypatch):
+    # a transfer row off by one pair at k = 0, off every checked diagonal:
+    # only the DP check fails, and it names the row
+    transfer_rows = verify._transfer_rows
+
+    def one_pair_off(n):
+        rows = transfer_rows(n)
+        rows[9][0] += 1
+        return rows
+
+    monkeypatch.setattr(verify, "_transfer_rows", one_pair_off)
+    code, out, _ = run(capsys, "verify", "formulas")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert failed[0].startswith("[FAIL] cnk winding DP vs transfer census (")
+    assert "; 1 mismatch(es); first: n=9: expected " in failed[0]
 
 
 def test_unknown_command():

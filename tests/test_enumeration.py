@@ -48,21 +48,31 @@ def test_census_row_sums():
 
 def test_census_matches_golden():
     golden = load_golden("cnk")
+    transfer = enumeration._transfer_rows(10)
     for n in range(1, 11):
-        assert census_cnk(n) == census_cnk_exhaustive(n) == golden.rows[n]
+        assert (census_cnk(n) == census_cnk_exhaustive(n) == transfer[n]
+                == golden.rows[n])
 
 
 def test_recurrence_rows_past_the_exhaustive_reach(monkeypatch):
     # 2n bits a count: every row of n = 20 must still add up to 4^(m-1) and
-    # agree with the closed-form diagonals, so no count spills into the next
+    # agree with the closed-form diagonals, so no count spills into the next;
+    # the transfer sweep, which never winds, gives the same rows
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "20")
     rows = enumeration._recurrence_rows(20)
     assert sorted(rows) == list(range(1, 21))
+    assert enumeration._transfer_rows(20) == rows
     for m, row in rows.items():
         assert sum(row.values()) == 4 ** (m - 1), m
         for j, diag in DIAGONALS.items():
             if m >= j:
                 assert row.get(m - j, 0) == diag(m), (m, j)
+
+
+def test_transfer_rows_match_the_exhaustive_rows():
+    # the sweep reads block arcs only, the exhaustive census composes the
+    # graph index of the irreducible pairs: every row n <= 12 agrees
+    assert enumeration._transfer_rows(12) == enumeration._exhaustive_rows(12, 1)
 
 
 def test_census_frees_its_memo():
@@ -334,16 +344,17 @@ def test_census_limit_env(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "census", [census_cnk, census_cnk_exhaustive, census_cnk_naive, homotopy_census],
+    "census", [census_cnk, census_cnk_exhaustive, census_cnk_naive, homotopy_census,
+               enumeration._transfer_rows],
     ids=lambda f: f.__name__,
 )
 def test_census_guard(monkeypatch, census):
-    # one guard for every full-pair census, checked before any pair
+    # one guard for every full-pair census, checked before any pair or vertex
     def no_pairs(*args):
         raise AssertionError("a pair was computed")
 
     for name in ("_wind_tally", "_graph_sums", "seaweed_index",
-                 "_wind_homotopy"):
+                 "_wind_homotopy", "_side_moves"):
         monkeypatch.setattr(enumeration, name, no_pairs)
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
         census(0)

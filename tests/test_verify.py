@@ -57,19 +57,22 @@ def test_all_suite_runs_everything():
 
 
 def test_formulas_suite_tallies_once(monkeypatch):
-    # every census row the suite reads comes from one irreducible tally,
-    # made anew by each run of the suite
-    calls = []
-    census_rows = enumeration._census_rows
+    # every census row the suite reads comes from one transfer sweep, made
+    # anew by each run of the suite, and no exhaustive tally runs
+    sweeps, tallies = [], []
+    transfer_rows = verify._transfer_rows
 
-    def counted(*args):
-        calls.append(args)
-        return census_rows(*args)
+    def counted(n):
+        sweeps.append(n)
+        return transfer_rows(n)
 
-    monkeypatch.setattr(enumeration, "_census_rows", counted)
+    monkeypatch.setattr(verify, "_transfer_rows", counted)
+    monkeypatch.setattr(enumeration, "_census_rows",
+                        lambda *args: tallies.append(args))
     for runs in (1, 2):
         assert run_suite("formulas").passed
-        assert len(calls) == runs
+        assert sweeps == [verify.DIAG_CENSUS_MAX_N] * runs
+    assert tallies == []
 
 
 def test_failing_report_formatting():
