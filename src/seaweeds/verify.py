@@ -15,9 +15,8 @@ from functools import cache
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
-    _graph_sums,
+    _graph_tables,
     _recurrence_rows,
-    _top_table,
     _transfer_rows,
     census_c21,
     census_c22,
@@ -334,20 +333,23 @@ def suite_winding() -> VerifySuiteReport:
 
     def agreement():
         # both sides are index + 1, a byte a pair: the winding side by the mask
-        # recurrence, one move a pair, and no graph value feeds it
-        sums = _wind_sums(WINDING_MAX_N)
-        total = 0
+        # recurrence, one move a pair, and no graph value feeds it; the graph
+        # side by the kernel on irreducible pairs, composed at common cuts
+        graph, sums = _graph_tables(WINDING_MAX_N), _wind_sums(WINDING_MAX_N)
+        total = irreducible = 0
         for n in range(1, WINDING_MAX_N + 1):
-            half = 1 << (n - 1)
-            graph = b"".join(_graph_sums(n, _top_table(n, t)) for t in range(half))
-            if graph != sums[n]:
-                i = next(i for i, g in enumerate(graph) if g != sums[n][i])
+            g, s = graph[n], sums[n]
+            if g != s:
+                i = next(i for i in range(len(g)) if g[i] != s[i])
                 return False, (
-                    f"pair (n={n}, {i >> (n - 1)}, {i & (half - 1)}): "
-                    f"graph {graph[i] - 1} != winding {sums[n][i] - 1}"
+                    f"pair (n={n}, {i >> (n - 1)}, {i & ((1 << (n - 1)) - 1)}): "
+                    f"graph {g[i] - 1} != winding {s[i] - 1}"
                 )
-            total += len(graph)
-        return True, f"all {total} pairs with n<={WINDING_MAX_N} agree"
+            total += len(g)
+            irreducible += 3 ** (n - 1)
+        return True, (f"all {total} pairs with n<={WINDING_MAX_N} agree: "
+                      f"{irreducible} irreducible by the graph kernel, "
+                      "the rest composed at their last common cut")
 
     _run(checks, "winding index equals graph index", agreement)
 

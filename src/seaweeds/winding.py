@@ -240,6 +240,11 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
     return got << shift
 
 
+# _PLUS[c] adds c to every byte (mod 256) under bytes.translate: the one
+# translate table of the byte-per-pair tables, here and in enumeration
+_PLUS = tuple(b[c:c + 256] for b in [bytes(range(256)) * 2] for c in range(256))
+
+
 def _wind_sums(n_max: int) -> list[bytearray]:
     """sum(C-values) of every pair of compositions of each n <= n_max.
 
@@ -252,7 +257,6 @@ def _wind_sums(n_max: int) -> list[bytearray]:
     strided slice there; F reads the swapped pair in the same table.  Sums
     are at most n, so a byte holds each while n < 256.
     """
-    plus = [bytes((v + c) & 255 for v in range(256)) for c in range(n_max + 1)]
     sums = [bytearray(1)]
     for n in range(1, n_max + 1):
         w = n - 1
@@ -277,7 +281,7 @@ def _wind_sums(n_max: int) -> list[bytearray]:
                 got = sums[m][lo | (1 << (c - 1)) >> d:lo + (1 << (m - 1)):
                               1 << (c - d)]
                 table[row | 1 << (c - 1):row + half:1 << c] = (
-                    got.translate(plus[a]) if c == a else got)
+                    got.translate(_PLUS[a]) if c == a else got)
         for t in range(1, half):  # F: bottoms whose leading part c > t[0]
             a = (t & -t).bit_length()
             row = t << w

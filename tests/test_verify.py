@@ -139,6 +139,37 @@ def test_winding_check_names_a_middle_pair(monkeypatch):
     assert "pair (n=7, 5, 9): graph 1 != winding 2" in line
 
 
+def test_winding_check_names_the_small_pair_not_its_compositions(monkeypatch):
+    # top 1|1|1 (mask 3) over bottom 1|2 (mask 1) cuts in common after vertex
+    # 1; the graph side builds every larger pair that begins with it from its
+    # byte, and the check still names the fault where it sits, at n = 3
+    line = _winding_check_with_one_off_pair(monkeypatch, 3, 3 << 2 | 1)
+    assert line.startswith("[FAIL] winding index equals graph index")
+    assert "pair (n=3, 3, 1): graph 1 != winding 2" in line
+
+
+@pytest.mark.parametrize("n, want", [(10, "graph 10 != winding 9"),
+                                     (2, "graph 2 != winding 1")])
+def test_winding_check_catches_a_graph_fault_at_an_irreducible_pair(
+        monkeypatch, n, want):
+    # the kernel off by one at top (n) over bottom (n), an irreducible pair:
+    # at n = 10 no larger pair reads it, at n = 2 every composed pair with it
+    # as a factor inherits the fault, and the check names (n, 0, 0) either way
+    graph_sums = enumeration._graph_sums
+
+    def off_at_whole_over_whole(m, T, tcuts=0):
+        out = graph_sums(m, T, tcuts)
+        if m == n and tcuts == 0:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(enumeration, "_graph_sums", off_at_whole_over_whole)
+    line = next(line for line in run_suite("winding").format().splitlines()
+                if "winding index equals graph index" in line)
+    assert line.startswith("[FAIL] winding index equals graph index")
+    assert f"pair (n={n}, 0, 0): {want}" in line
+
+
 def test_details_and_loops_follow_the_bounds(monkeypatch):
     # each detail states the bound its loop runs to, read from one constant
     c21_rows, wound = [], set()
@@ -154,8 +185,10 @@ def test_details_and_loops_follow_the_bounds(monkeypatch):
     assert c21.detail == "n<=7, all k; all equal"
     assert c21_rows == list(range(2, 8))
     details = {c.name: c.detail for c in run_suite("winding").checks}
+    # 1 + 4 + 16 + 64 pairs, 1 + 3 + 9 + 27 of them irreducible
     assert details["winding index equals graph index"] == (
-        "all 85 pairs with n<=4 agree")  # 1 + 4 + 16 + 64
+        "all 85 pairs with n<=4 agree: 40 irreducible by the graph kernel, "
+        "the rest composed at their last common cut")
     assert details["same-composition homotopy"] == (
         "wind(p/p) returns the parts of p, n<=4")
     assert wound == {1, 2, 3, 4}
