@@ -27,7 +27,7 @@ from .enumeration import (
     diff_golden,
     load_golden,
 )
-from .errors import LimitExceeded, ParseError, UsageError
+from .errors import LimitExceeded, ParseError, UsageError, check_limit
 # cmd_index reads the index off its component summary; seaweed_index stays
 # importable here because bench/traced.py patches the library calls the CLI
 # resolves at this import site.
@@ -160,9 +160,7 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     st = parse_seaweed_type(args.type)
-    if st.n > MAX_RENDER_N:
-        raise LimitExceeded(
-            f"render of n={st.n} exceeds the limit n <= {MAX_RENDER_N}")
+    check_limit("render of", st.n, MAX_RENDER_N)
     m = build_meander(st)
     text = meander_svg(m) if args.format == "svg" else meander_tikz(m)
     _emit(text, args.output)

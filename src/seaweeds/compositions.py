@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import LimitExceeded, ParseError, read_int
+from .errors import ParseError, check_limit, read_int
 
 # A parsed type builds n vertices and up to n arcs (index, wind, render):
 # refuse larger n before any is built.  n = 10^6 takes seconds and a few
@@ -158,10 +158,7 @@ def parse_seaweed_type(text: str) -> SeaweedType:
         st = SeaweedType(top, bottom)
     except ValueError as e:
         raise ParseError(str(e)) from None
-    if st.n > MAX_TYPE_N:
-        raise LimitExceeded(
-            f"type of n={st.n} exceeds the limit n <= {MAX_TYPE_N}"
-        )
+    check_limit("type of", st.n, MAX_TYPE_N)
     return st
 
 

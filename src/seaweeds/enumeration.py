@@ -26,7 +26,7 @@ vertex m the fresh state (both stacks empty, both sides opening) holds row
 C(m, .), so one sweep gives every row m <= n, with no compose; ~1.5x per
 step of n.
 
-census_cnk_exhaustive(n) is the graph oracle, and census_cnk(n, workers > 1)
+census_cnk_exhaustive(n) is the graph oracle, and census_cnk(n, workers != 1)
 runs it.  It rests on the common-cut lemma: if both compositions cut after
 the same vertex c < n, no arc crosses c, so the meander is the disjoint union
 of the two halves' meanders; cycles and paths add, and
@@ -79,7 +79,8 @@ Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
 be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
 DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit, and
 _check_census_limit is the one guard of every full-pair census.  Tables of
-c21 and c22 stop at n = GCD_TABLE_MAX_N.
+c21 and c22 stop at n = GCD_TABLE_MAX_N.  Every limit is refused by
+errors.check_limit.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from math import gcd
 from multiprocessing import get_context
 
 from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
-from .errors import LimitExceeded, UsageError
+from .errors import UsageError, check_limit
 from .meander import _block_edges, _partners, seaweed_index
 from .winding import _PLUS, HomotopyType, _wind_homotopy, _wind_tally
 
@@ -131,21 +132,16 @@ def c22_meander_limit() -> int:
 def _check_census_limit(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = census_limit()
-    if n > limit:
-        raise LimitExceeded(
-            f"census at n={n} exceeds the limit n <= {limit} "
-            f"(set {CENSUS_LIMIT_ENV} to override)"
-        )
+    check_limit("census at", n, census_limit(), CENSUS_LIMIT_ENV)
 
 
 def _check_c22_meander_limit(n: int) -> None:
-    limit = c22_meander_limit()
-    if n > limit:
-        raise LimitExceeded(
-            f"c22 meander oracle at n={n} exceeds the limit n <= {limit} "
-            f"(set {C22_MEANDER_LIMIT_ENV} to override)"
-        )
+    check_limit("c22 meander oracle at", n, c22_meander_limit(), C22_MEANDER_LIMIT_ENV)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
 
 
 def _top_table(n: int, mask: int) -> list[int]:
@@ -234,11 +230,12 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
 
     With one worker it is computed by the winding-down recurrence, whose
     memo lives only for this call.  The recurrence is serial and takes
-    milliseconds, so more than one worker asks instead for the exhaustive
+    milliseconds, so any other worker count asks instead for the exhaustive
     census forked over that many processes (census_cnk_exhaustive): the
-    independent cross-check, as in `table cnk --workers N`.
+    independent cross-check, as in `table cnk --workers N`.  Fewer than one
+    worker is a UsageError, as in build_table.
     """
-    if workers > 1:
+    if workers != 1:
         return census_cnk_exhaustive(n, workers)
     return _recurrence_rows(n)[n]
 
@@ -378,6 +375,7 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
 def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     """Rows C(m, .), m = 1..n, from one irreducible tally; forked over
     min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each."""
+    _check_workers(workers)
     _check_census_limit(n)
     if workers > 1:  # before counting CPUs: no fork is an error on any host
         try:
@@ -601,8 +599,7 @@ def build_table(
     min_n = _MIN_N[kind]
     if max_n < min_n:
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if kind == "cnk":
         if workers > 1:  # one pool for the whole table
             return IndexTable(kind, _exhaustive_rows(max_n, workers))
@@ -610,10 +607,7 @@ def build_table(
     # fail fast before any row is computed
     if kind == "c22" and oracle == "meander":
         _check_c22_meander_limit(max_n)
-    if max_n > GCD_TABLE_MAX_N:
-        raise LimitExceeded(
-            f"table {kind} to n={max_n} exceeds the limit n <= {GCD_TABLE_MAX_N}"
-        )
+    check_limit(f"table {kind} to", max_n, GCD_TABLE_MAX_N)
     rows = {n: census_c21(n) if kind == "c21" else census_c22(n, oracle=oracle)
             for n in range(min_n, max_n + 1)}
     return IndexTable(kind, rows)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the parsers' int reader."""
+"""Exception types of the package, the one limit check, and the parsers' int reader."""
 
 
 class ParseError(ValueError):
@@ -21,6 +21,14 @@ class LimitExceeded(RuntimeError):
 
 class UsageError(ValueError):
     """A command-line argument or environment setting the program cannot use."""
+
+
+def check_limit(subject: str, n: int, limit: int, env: str | None = None) -> None:
+    """Refuse n > limit, before any work: the only place a LimitExceeded is
+    built.  env names the variable that overrides the limit, if one does."""
+    if n > limit:
+        override = "" if env is None else f" (set {env} to override)"
+        raise LimitExceeded(f"{subject} n={n} exceeds the limit n <= {limit}{override}")
 
 
 def read_int(digits: str, what: str, position: int | None = None) -> int:

@@ -150,8 +150,8 @@ def homotopy_components(t: SeaweedType) -> tuple[int, ...]:
     """Recorded C-values only, via the deque kernel (no object churn).
 
     wind_down records this kernel's moves; wind_step, one move at a time on
-    SeaweedType objects, is the reference it is tested against.  Used by the
-    censuses.
+    SeaweedType objects, is the reference it is tested against.  No census
+    calls it: homotopy_census winds parts with _wind_homotopy directly.
     """
     return _wind_homotopy(t.top.parts, t.bottom.parts)
 

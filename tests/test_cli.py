@@ -150,6 +150,18 @@ def test_table_check_golden_c21(capsys):
     assert "c21: OK (132 cells match the reference)" in out
 
 
+def test_table_check_golden_reports_a_mismatch(capsys, monkeypatch):
+    # a reference one higher at (9, 3) than the census: each differing cell
+    # goes to stderr, the count of problems to stdout, and the exit code is 1
+    golden = enumeration.load_golden("cnk")
+    golden.rows[9][3] += 1
+    monkeypatch.setattr(cli, "load_golden", lambda kind: golden)
+    code, out, err = run(capsys, "table", "cnk", "--max-n", "10", "--check-golden")
+    assert code == 1
+    assert err == "golden mismatch: cell (n=9, k=3): expected 17597, got 17596\n"
+    assert out == "cnk: 1 problem(s) in 100 cells checked\n"
+
+
 def test_table_over_limit(capsys, monkeypatch):
     monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
     for workers in ("1", "2"):
@@ -227,6 +239,20 @@ def test_table_workers_below_one(capsys, monkeypatch, workers):
     assert code == 2
     assert out == ""
     assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
+def test_verify_winding_reports_a_same_composition_fault(capsys, monkeypatch):
+    # p/p must wind to the parts of p; one misreported composition fails the
+    # suite and is named
+    wind_homotopy = verify._wind_homotopy
+    monkeypatch.setattr(verify, "_wind_homotopy",
+                        lambda t, b: (3,) if t == b == (2, 1) else wind_homotopy(t, b))
+    code, out, _ = run(capsys, "verify", "winding")
+    assert code == 1
+    line = next(line for line in out.splitlines()
+                if "same-composition homotopy" in line)
+    assert line.startswith("[FAIL] same-composition homotopy (")
+    assert line.endswith("): p/p gave (3,) for parts (2, 1)")
 
 
 def test_table_output_io_error(capsys):

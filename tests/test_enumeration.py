@@ -231,6 +231,19 @@ def test_census_without_fork_is_a_usage_error(monkeypatch):
     assert census_cnk_exhaustive(8, workers=1) == census_cnk(8)
 
 
+@pytest.mark.parametrize("census, workers", [
+    (census_cnk, 0), (census_cnk, -2), (census_cnk_exhaustive, 0)])
+def test_census_workers_below_one(monkeypatch, census, workers):
+    # the library refuses the worker counts build_table refuses, before a row
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    for name in ("_wind_tally", "_census_rows"):
+        monkeypatch.setattr(enumeration, name, no_rows)
+    with pytest.raises(UsageError, match=rf"^workers must be >= 1, got {workers}$"):
+        census(4, workers=workers)
+
+
 def test_census_workers_run_exhaustive(monkeypatch):
     # more than one worker asks for the forked exhaustive census
     calls = []
@@ -419,6 +432,12 @@ def test_table_markdown_shape():
     assert lines[0] == "| n\\k | 0 | 1 | 2 |"
     assert lines[2] == "| 1 | 1 | 0 | 0 |"
     assert lines[4] == "| 3 | 6 | 6 | 4 |"
+
+
+def test_table_from_csv_skips_blank_lines():
+    text = build_table("cnk", 3).to_csv()
+    assert table_from_csv("cnk", text.replace("\n2,", "\n\n2,", 1)) == (
+        table_from_csv("cnk", text))
 
 
 def test_table_from_csv_rejects_bad_header():

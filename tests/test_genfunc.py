@@ -72,6 +72,13 @@ def test_parse_poly_error_position():
         pytest.fail("no error raised")
 
 
+def test_parse_poly_needs_a_sign_between_terms():
+    with pytest.raises(ParseError) as e:
+        parse_poly("x2")
+    assert e.value.message == "missing sign between terms in 'x2'"
+    assert e.value.position == 1
+
+
 def test_parse_poly_bounds_the_degree():
     assert parse_poly(f"x^{MAX_POLY_DEGREE}") == (0,) * MAX_POLY_DEGREE + (1,)
     assert parse_poly("x^0007") == (0,) * 7 + (1,)
