@@ -56,6 +56,69 @@ def test_all_suite_runs_everything():
     assert "gcd: two parts over two vs meander" in names
 
 
+ALL_CHECKS = [
+    ("formulas: diag1 closed form vs census",
+     "n=1..12 vs full census; all equal"),
+    ("formulas: diag2 closed form vs census",
+     "n=2..12 vs full census; all equal"),
+    ("formulas: diag3 closed form vs census",
+     "n=3..12 vs full census; all equal"),
+    ("formulas: cnk winding DP vs transfer census",
+     "n=1..12, full rows; all equal"),
+    ("formulas: diag3 long-form sum vs closed form",
+     "n=3..25; all equal"),
+    ("formulas: c21 formula vs gcd brute force",
+     "n<=60, all k; all equal"),
+    ("formulas: c22 formula vs gcd brute force",
+     "n<=40, all k; all equal"),
+    ("formulas: c22 gcd oracle vs meander oracle",
+     "n<=14; all equal"),
+    ("formulas: coprime-sum totient identity",
+     "sum of coprimes below t is t*phi(t)/2, t=3..200; all equal"),
+    ("formulas: aux identity 1 exact",
+     "sum (n-k)2^k == 2^(n+1)-2n-2 for n=1..30; failures: []"),
+    ("formulas: aux identity 2 audit (stated form fails)",
+     "stated RHS 4-3*2^n+n*2^n first fails at n=2 (n=2: lhs=1, stated rhs=0); "
+     "fitted RHS (n-3)*2^n+n+3 matches n=1..30: True"),
+    ("gf: denominators are (1-2x)^j",
+     "all equal"),
+    ("gf: diag1 series vs closed form",
+     "orders 0..30; all equal"),
+    ("gf: diag2 series vs closed form",
+     "orders 0..30; all equal"),
+    ("gf: diag3 series vs closed form",
+     "orders 0..30; all equal"),
+    ("gf: two extraction methods agree",
+     "recurrence vs long division to order 50; all equal"),
+    ("gf: series vs reference table",
+     "series vs reference table diagonals, n<=10; all equal"),
+    ("recursion: third-diagonal recursion exact",
+     "n=1..25; failures: []"),
+    ("recursion: recursion anchor values",
+     "all equal"),
+    ("gcd: two parts over one vs meander",
+     "a+b<=40 (780 types); all equal"),
+    ("gcd: three parts over one vs meander",
+     "a+b+c<=25 (2300 types); all equal"),
+    ("gcd: two parts over two vs meander",
+     "two parts over two, n<=25 (4899 types); all equal"),
+    ("winding: winding index equals graph index",
+     "all 349525 pairs with n<=10 agree: 29524 irreducible by the graph "
+     "kernel, the rest composed at their last common cut"),
+    ("winding: worked 15-vertex example",
+     "all equal"),
+    ("winding: equal index, distinct homotopy witness",
+     "all equal"),
+    ("winding: same-composition homotopy",
+     "wind(p/p) returns the parts of p, n<=10"),
+]
+
+
+def test_all_checks_and_details_are_pinned():
+    # every check of `verify all`, in order, with the detail it prints
+    assert [(c.name, c.detail) for c in run_suite("all").checks] == ALL_CHECKS
+
+
 def test_formulas_suite_tallies_once(monkeypatch):
     # every census row the suite reads comes from one transfer sweep, made
     # anew by each run of the suite, and no exhaustive tally runs
