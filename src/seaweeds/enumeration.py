@@ -235,9 +235,15 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     independent cross-check, as in `table cnk --workers N`.  Fewer than one
     worker is a UsageError, as in build_table.
     """
-    if workers != 1:
-        return census_cnk_exhaustive(n, workers)
-    return _recurrence_rows(n)[n]
+    return _cnk_rows(n, workers)[n]
+
+
+def _cnk_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
+    """Rows C(m, .), m = 1..n: the recurrence's for one worker, else the
+    forked exhaustive census's from one pool (which refuses workers < 1)."""
+    if workers == 1:
+        return _recurrence_rows(n)
+    return _exhaustive_rows(n, workers)
 
 
 def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
@@ -601,9 +607,7 @@ def build_table(
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
     _check_workers(workers)
     if kind == "cnk":
-        if workers > 1:  # one pool for the whole table
-            return IndexTable(kind, _exhaustive_rows(max_n, workers))
-        return IndexTable(kind, _recurrence_rows(max_n))
+        return IndexTable(kind, _cnk_rows(max_n, workers))
     # fail fast before any row is computed
     if kind == "c22" and oracle == "meander":
         _check_c22_meander_limit(max_n)

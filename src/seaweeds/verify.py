@@ -5,13 +5,20 @@ and returns a VerifySuiteReport; a suite passes iff all its checks pass.  A
 check that raises is reported as a failure, not a crash, except that a
 census refused by its limit (LimitExceeded) stops the suite: it disproves
 nothing, so the CLI exits 3 as for any other command.
+
+Most checks compare (label, want, got) triples by the one rule _mismatches:
+a check passes iff every want equals its got, and its detail is the bound
+its loop ran to (read from the constant that drives the loop), then "all
+equal" or the count and first mismatch.  SUITES is the only list of suites;
+run_suite and suite_all look `suite_<name>` up in the module's globals when
+called, so a suite replaced on the module (as a tracer does) is what runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
@@ -109,12 +116,13 @@ def _run(checks: list[CheckResult], name: str, fn) -> None:
     checks.append(CheckResult(name, passed, detail, time.perf_counter() - start))
 
 
-def _mismatches(pairs) -> tuple[bool, str]:
+def _mismatches(pairs, bound=None) -> tuple[bool, str]:
+    """(ok, detail) of (label, want, got) triples: the bound, if any, then
+    "all equal" or the count and the first mismatch."""
     bad = [f"{label}: expected {want}, got {got}" for label, want, got in pairs
            if want != got]
-    if bad:
-        return False, f"{len(bad)} mismatch(es); first: {bad[0]}"
-    return True, "all equal"
+    msg = f"{len(bad)} mismatch(es); first: {bad[0]}" if bad else "all equal"
+    return not bad, msg if bound is None else f"{bound}; {msg}"
 
 
 # --- suites -------------------------------------------------------------------
@@ -131,8 +139,7 @@ def suite_formulas() -> VerifySuiteReport:
         def diag_check(j=j, fn=fn):
             pairs = [(f"n={n}", fn(n), census()[n].get(n - j, 0))
                      for n in range(j, DIAG_CENSUS_MAX_N + 1)]
-            ok, msg = _mismatches(pairs)
-            return ok, f"n={j}..{DIAG_CENSUS_MAX_N} vs full census; {msg}"
+            return _mismatches(pairs, f"n={j}..{DIAG_CENSUS_MAX_N} vs full census")
 
         _run(checks, f"diag{j} closed form vs census", diag_check)
 
@@ -140,55 +147,40 @@ def suite_formulas() -> VerifySuiteReport:
         rows = _recurrence_rows(DIAG_CENSUS_MAX_N)
         pairs = [(f"n={n}", census()[n], rows[n])
                  for n in range(1, DIAG_CENSUS_MAX_N + 1)]
-        ok, msg = _mismatches(pairs)
-        return ok, f"n=1..{DIAG_CENSUS_MAX_N}, full rows; {msg}"
+        return _mismatches(pairs, f"n=1..{DIAG_CENSUS_MAX_N}, full rows")
 
     _run(checks, "cnk winding DP vs transfer census", winding_dp)
 
     def longform():
         pairs = [(f"n={n}", c_diag3(n), c_diag3_longform(n))
                  for n in range(3, LONGFORM_MAX_N + 1)]
-        ok, msg = _mismatches(pairs)
-        return ok, f"n=3..{LONGFORM_MAX_N}; {msg}"
+        return _mismatches(pairs, f"n=3..{LONGFORM_MAX_N}")
 
     _run(checks, "diag3 long-form sum vs closed form", longform)
 
-    def c21_brute():
-        pairs = []
-        for n in range(2, C21_MAX_N + 1):
-            brute = census_c21(n)
-            for k in range(0, n):
-                pairs.append((f"(n={n},k={k})", brute.get(k, 0), c21(n, k)))
-        ok, msg = _mismatches(pairs)
-        return ok, f"n<={C21_MAX_N}, all k; {msg}"
+    for kind, census_of, formula, max_n in (
+            ("c21", census_c21, c21, C21_MAX_N),
+            ("c22", lambda n: census_c22(n, oracle="gcd"), c22, C22_GCD_MAX_N)):
+        def brute(census_of=census_of, formula=formula, max_n=max_n):
+            rows = {n: census_of(n) for n in range(2, max_n + 1)}
+            pairs = [(f"(n={n},k={k})", row.get(k, 0), formula(n, k))
+                     for n, row in rows.items() for k in range(n)]
+            return _mismatches(pairs, f"n<={max_n}, all k")
 
-    _run(checks, "c21 formula vs gcd brute force", c21_brute)
-
-    def c22_brute():
-        pairs = []
-        for n in range(2, C22_GCD_MAX_N + 1):
-            brute = census_c22(n, oracle="gcd")
-            for k in range(0, n):
-                pairs.append((f"(n={n},k={k})", brute.get(k, 0), c22(n, k)))
-        ok, msg = _mismatches(pairs)
-        return ok, f"n<={C22_GCD_MAX_N}, all k; {msg}"
-
-    _run(checks, "c22 formula vs gcd brute force", c22_brute)
+        _run(checks, f"{kind} formula vs gcd brute force", brute)
 
     def c22_oracles():
         pairs = [(f"n={n}", census_c22(n, "gcd"), census_c22(n, "meander"))
                  for n in range(2, C22_MEANDER_MAX_N + 1)]
-        ok, msg = _mismatches(pairs)
-        return ok, f"n<={C22_MEANDER_MAX_N}; {msg}"
+        return _mismatches(pairs, f"n<={C22_MEANDER_MAX_N}")
 
     _run(checks, "c22 gcd oracle vs meander oracle", c22_oracles)
 
     def totient_sum():
         pairs = [(f"t={t}", t * euler_phi(t), 2 * coprime_sum(t))
                  for t in range(3, TOTIENT_SUM_MAX_T + 1)]
-        ok, msg = _mismatches(pairs)
-        return ok, ("sum of coprimes below t is t*phi(t)/2, "
-                    f"t=3..{TOTIENT_SUM_MAX_T}; {msg}")
+        return _mismatches(pairs, "sum of coprimes below t is t*phi(t)/2, "
+                                  f"t=3..{TOTIENT_SUM_MAX_T}")
 
     _run(checks, "coprime-sum totient identity", totient_sum)
 
@@ -233,8 +225,7 @@ def suite_gf() -> VerifySuiteReport:
             pairs = [(f"x^{n}", fn(n), coeffs[n])
                      for n in range(j, GF_CLOSED_FORM_ORDER + 1)]
             pairs += [(f"x^{n}", 0, coeffs[n]) for n in range(0, j)]
-            ok, msg = _mismatches(pairs)
-            return ok, f"orders 0..{GF_CLOSED_FORM_ORDER}; {msg}"
+            return _mismatches(pairs, f"orders 0..{GF_CLOSED_FORM_ORDER}")
 
         _run(checks, f"diag{j} series vs closed form", against_closed)
 
@@ -242,8 +233,8 @@ def suite_gf() -> VerifySuiteReport:
         pairs = [(f"gf{j}", gf_coefficients(gfs[j], GF_CROSSCHECK_ORDER),
                   gf_coefficients_by_division(gfs[j], GF_CROSSCHECK_ORDER))
                  for j in gfs]
-        ok, msg = _mismatches(pairs)
-        return ok, f"recurrence vs long division to order {GF_CROSSCHECK_ORDER}; {msg}"
+        return _mismatches(
+            pairs, f"recurrence vs long division to order {GF_CROSSCHECK_ORDER}")
 
     _run(checks, "two extraction methods agree", crosscheck)
 
@@ -255,8 +246,7 @@ def suite_gf() -> VerifySuiteReport:
             coeffs = gf_coefficients(gfs[j], top)
             for n in range(j, top + 1):
                 pairs.append((f"(j={j},n={n})", golden.cell(n, n - j), coeffs[n]))
-        ok, msg = _mismatches(pairs)
-        return ok, f"series vs reference table diagonals, n<={top}; {msg}"
+        return _mismatches(pairs, f"series vs reference table diagonals, n<={top}")
 
     _run(checks, "series vs reference table", vs_golden)
     return VerifySuiteReport("gf", tuple(checks))
@@ -282,49 +272,29 @@ def suite_recursion() -> VerifySuiteReport:
 def suite_gcd() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
-    def two_parts():
-        pairs = []
-        for n in range(2, GCD_2PARTS_MAX_N + 1):
-            whole = Composition((n,))
-            for a in range(1, n):
-                st = SeaweedType(Composition((a, n - a)), whole)
-                pairs.append((f"{a}|{n - a}/{n}", gcd_index_2parts(a, n - a),
-                              seaweed_index(st)))
-        ok, msg = _mismatches(pairs)
-        return ok, f"a+b<={GCD_2PARTS_MAX_N} ({len(pairs)} types); {msg}"
+    def against_meander(bound, types):
+        # types: (label, top parts, bottom parts, the gcd formula's index)
+        pairs = [(label, want,
+                  seaweed_index(SeaweedType(Composition(top), Composition(bottom))))
+                 for label, top, bottom, want in types]
+        return _mismatches(pairs, f"{bound} ({len(pairs)} types)")
 
-    _run(checks, "two parts over one vs meander", two_parts)
-
-    def three_parts():
-        pairs = []
-        for n in range(3, GCD_3PARTS_MAX_N + 1):
-            whole = Composition((n,))
-            for a in range(1, n - 1):
-                for b in range(1, n - a):
-                    c = n - a - b
-                    want = gcd_index_3parts(a, b, c)
-                    st = SeaweedType(Composition((a, b, c)), whole)
-                    pairs.append((f"{a}|{b}|{c}/{n}", want, seaweed_index(st)))
-        ok, msg = _mismatches(pairs)
-        return ok, f"a+b+c<={GCD_3PARTS_MAX_N} ({len(pairs)} types); {msg}"
-
-    _run(checks, "three parts over one vs meander", three_parts)
-
-    def two_over_two():
-        pairs = []
-        for n in range(3, GCD_3PARTS_MAX_N + 1):
-            for a in range(1, n):
-                b = n - a
-                for c in range(1, n):
-                    want = gcd_index_3parts(a, b, c)
-                    st = SeaweedType(Composition((a, b)),
-                                     Composition((c, n - c)))
-                    pairs.append((f"{a}|{b}/{c}|{n - c}", want, seaweed_index(st)))
-        ok, msg = _mismatches(pairs)
-        return ok, (f"two parts over two, n<={GCD_3PARTS_MAX_N} "
-                    f"({len(pairs)} types); {msg}")
-
-    _run(checks, "two parts over two vs meander", two_over_two)
+    for name, bound, types in (
+        ("two parts over one", f"a+b<={GCD_2PARTS_MAX_N}",
+         ((f"{a}|{n - a}/{n}", (a, n - a), (n,), gcd_index_2parts(a, n - a))
+          for n in range(2, GCD_2PARTS_MAX_N + 1) for a in range(1, n))),
+        ("three parts over one", f"a+b+c<={GCD_3PARTS_MAX_N}",
+         ((f"{a}|{b}|{n - a - b}/{n}", (a, b, n - a - b), (n,),
+           gcd_index_3parts(a, b, n - a - b))
+          for n in range(3, GCD_3PARTS_MAX_N + 1)
+          for a in range(1, n - 1) for b in range(1, n - a))),
+        ("two parts over two", f"two parts over two, n<={GCD_3PARTS_MAX_N}",
+         ((f"{a}|{n - a}/{c}|{n - c}", (a, n - a), (c, n - c),
+           gcd_index_3parts(a, n - a, c))
+          for n in range(3, GCD_3PARTS_MAX_N + 1)
+          for a in range(1, n) for c in range(1, n))),
+    ):
+        _run(checks, f"{name} vs meander", partial(against_meander, bound, types))
     return VerifySuiteReport("gcd", tuple(checks))
 
 
@@ -397,24 +367,13 @@ def suite_winding() -> VerifySuiteReport:
 
 def suite_all() -> VerifySuiteReport:
     checks: list[CheckResult] = []
-    for suite in (suite_formulas, suite_gf, suite_recursion, suite_gcd,
-                  suite_winding):
-        report = suite()
-        for c in report.checks:
-            checks.append(CheckResult(f"{report.suite}: {c.name}", c.passed,
-                                      c.detail, c.elapsed))
+    for name in SUITES[:-1]:  # every suite but "all" itself
+        checks += [CheckResult(f"{name}: {c.name}", c.passed, c.detail, c.elapsed)
+                   for c in globals()[f"suite_{name}"]().checks]
     return VerifySuiteReport("all", tuple(checks))
 
 
 def run_suite(name: str) -> VerifySuiteReport:
-    table = {
-        "formulas": suite_formulas,
-        "gf": suite_gf,
-        "recursion": suite_recursion,
-        "gcd": suite_gcd,
-        "winding": suite_winding,
-        "all": suite_all,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return table[name]()
+    return globals()[f"suite_{name}"]()

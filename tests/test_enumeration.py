@@ -247,8 +247,8 @@ def test_census_workers_below_one(monkeypatch, census, workers):
 def test_census_workers_run_exhaustive(monkeypatch):
     # more than one worker asks for the forked exhaustive census
     calls = []
-    monkeypatch.setattr(enumeration, "census_cnk_exhaustive",
-                        lambda n, workers: calls.append(workers) or {})
+    monkeypatch.setattr(enumeration, "_exhaustive_rows",
+                        lambda n, workers: calls.append(workers) or {n: {}})
     census_cnk(4, workers=2)
     census_cnk(4, workers=1)
     assert calls == [2]

@@ -119,6 +119,30 @@ def test_all_checks_and_details_are_pinned():
     assert [(c.name, c.detail) for c in run_suite("all").checks] == ALL_CHECKS
 
 
+def test_suites_are_looked_up_when_run(monkeypatch):
+    # a suite replaced on the module, as a tracer replaces it, is the one
+    # that runs, alone and inside "all"
+    stub = VerifySuiteReport("gcd", (CheckResult("stub check", True, "ok", 0.0),))
+    monkeypatch.setattr(verify, "suite_gcd", lambda: stub)
+    assert run_suite("gcd") is stub
+    names = [c.name for c in run_suite("all").checks]
+    assert "gcd: stub check" in names
+    assert not any(name.startswith("gcd: two parts") for name in names)
+
+
+def test_gcd_checks_read_seaweed_index_when_run(monkeypatch):
+    # an index off by one on 2|3/5 alone fails the one family it belongs to
+    seaweed_index = verify.seaweed_index
+    monkeypatch.setattr(
+        verify, "seaweed_index",
+        lambda st: seaweed_index(st) + (str(st) == "2|3/5"))
+    report = run_suite("gcd")
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert failed == [("two parts over one vs meander",
+                       "a+b<=40 (780 types); "
+                       "1 mismatch(es); first: 2|3/5: expected 0, got 1")]
+
+
 def test_formulas_suite_tallies_once(monkeypatch):
     # every census row the suite reads comes from one transfer sweep, made
     # anew by each run of the suite, and no exhaustive tally runs
@@ -235,18 +259,28 @@ def test_winding_check_catches_a_graph_fault_at_an_irreducible_pair(
 
 def test_details_and_loops_follow_the_bounds(monkeypatch):
     # each detail states the bound its loop runs to, read from one constant
-    c21_rows, wound = [], set()
+    c21_rows, c22_rows, wound = [], [], set()
     census_c21, wind_homotopy = verify.census_c21, verify._wind_homotopy
+    census_c22 = verify.census_c22
     monkeypatch.setattr(verify, "census_c21",
                         lambda n: c21_rows.append(n) or census_c21(n))
+    monkeypatch.setattr(verify, "census_c22",
+                        lambda n, oracle: c22_rows.append((n, oracle))
+                        or census_c22(n, oracle))
     monkeypatch.setattr(verify, "_wind_homotopy",
                         lambda t, b: wound.add(sum(t)) or wind_homotopy(t, b))
     monkeypatch.setattr(verify, "C21_MAX_N", 7)
+    monkeypatch.setattr(verify, "C22_GCD_MAX_N", 6)
+    monkeypatch.setattr(verify, "C22_MEANDER_MAX_N", 4)
     monkeypatch.setattr(verify, "WINDING_MAX_N", 4)
-    c21 = next(c for c in run_suite("formulas").checks
-               if c.name == "c21 formula vs gcd brute force")
-    assert c21.detail == "n<=7, all k; all equal"
+    details = {c.name: c.detail for c in run_suite("formulas").checks}
+    assert details["c21 formula vs gcd brute force"] == "n<=7, all k; all equal"
+    assert details["c22 formula vs gcd brute force"] == "n<=6, all k; all equal"
+    assert details["c22 gcd oracle vs meander oracle"] == "n<=4; all equal"
     assert c21_rows == list(range(2, 8))
+    # the brute-force rows, then the two oracles side by side
+    assert c22_rows == [(n, "gcd") for n in range(2, 7)] + [
+        (n, oracle) for n in range(2, 5) for oracle in ("gcd", "meander")]
     details = {c.name: c.detail for c in run_suite("winding").checks}
     # 1 + 4 + 16 + 64 pairs, 1 + 3 + 9 + 27 of them irreducible
     assert details["winding index equals graph index"] == (
