@@ -13,6 +13,11 @@ For a seaweed in sl(n) of this type,
     index     = 2 * (#cycles) + (#paths) - 1      (ComponentSummary.index)
     dimension = sum a_i(a_i+1)/2 + sum b_j(b_j+1)/2 - n - 1
     rank      = n - 1
+
+seaweed_index counts, without a walk: it joins path ends arc by arc, as the
+census kernel enumeration._graph_sums does for many bottoms at once.
+component_summary walks the graph and lists each component's vertex set;
+the CLI's `index` reports it, and the tests hold the join against it.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ def component_summary(m: Meander) -> ComponentSummary:
     Every vertex is visited once, by walks that go one way: one from an end of
     each path (a vertex with no arc in some layer), then one round each cycle.
     Paths are not counted on the walk: paths = n - E (E arcs in both layers).
-    The census kernel enumeration._graph_sums walks nothing: it joins path
-    ends arc by arc, which counts cycles but lists no vertex sets.
+    Only the vertex sets need the walk: seaweed_index and the census kernel
+    enumeration._graph_sums join path ends arc by arc, which counts cycles
+    but lists no vertex sets, so this walk is their independent oracle.
     """
     top = _partners(m.n, m.top_edges)
     bot = _partners(m.n, m.bottom_edges)
@@ -105,7 +111,29 @@ def component_summary(m: Meander) -> ComponentSummary:
 
 
 def seaweed_index(t: SeaweedType) -> int:
-    return component_summary(build_meander(t)).index
+    """Index of the seaweed of type t, as index + 1 = 2*cycles + n - E.
+
+    A path-end array is seeded with the top's partner table (end[u] = far
+    end of the path ending at u) and the value with n - (top arcs).  Each
+    bottom arc (u, w) closes a cycle if end[u] == w (+1); else the far ends
+    x, y of u and w now end one path (end[x], end[y] = y, x; -1).  The same
+    join runs over a prefix tree of bottoms in enumeration._graph_sums; here
+    it is written for one pair, with no Meander and no vertex lists.
+    """
+    n = t.n
+    top = _block_edges(t.top.parts)
+    end = _partners(n, top)
+    val = n - len(top)
+    for u, w in _block_edges(t.bottom.parts):
+        x = end[u]
+        if x == w:
+            val += 1
+        else:
+            y = end[w]
+            end[x] = y
+            end[y] = x
+            val -= 1
+    return val - 1
 
 
 def seaweed_dimension(t: SeaweedType) -> int:

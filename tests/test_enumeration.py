@@ -25,7 +25,7 @@ from seaweeds.enumeration import (
 from seaweeds.compositions import SeaweedType, composition_from_bitmask
 from seaweeds.errors import LimitExceeded, UsageError
 from seaweeds.formulas import DIAGONALS
-from seaweeds.meander import _block_edges, _partners, seaweed_index
+from seaweeds.meander import _block_edges, _partners, build_meander, component_summary
 from seaweeds.winding import HomotopyType, homotopy_index
 
 
@@ -265,8 +265,9 @@ def test_graph_indices_match_seaweed_index_per_pair():
         for tmask in range(half):
             T = enumeration._top_table(n, tmask)
             got = enumeration._graph_sums(n, T)
-            want = [seaweed_index(SeaweedType(comps[tmask], bottom)) + 1
-                    for bottom in comps]
+            # the component walk: seaweed_index is this kernel's own join
+            want = [component_summary(build_meander(SeaweedType(comps[tmask], bottom)))
+                    .index + 1 for bottom in comps]
             assert got == bytes(want)
             # the census's irreducible pairs: bottoms sharing no top cut
             got = enumeration._graph_sums(n, T, tmask)
@@ -283,8 +284,8 @@ def test_graph_indices_match_seaweed_index_at_verify_depth(n):
     for tmask in [0, half - 1] + rng.sample(range(1, half - 1), 2):
         edges = _block_edges(comps[tmask].parts)
         got = enumeration._graph_sums(n, _partners(n, edges))
-        want = [seaweed_index(SeaweedType(comps[tmask], bottom)) + 1
-                for bottom in comps]
+        want = [component_summary(build_meander(SeaweedType(comps[tmask], bottom)))
+                .index + 1 for bottom in comps]
         assert got == bytes(want), tmask
 
 

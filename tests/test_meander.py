@@ -1,6 +1,9 @@
+import math
+import random
+
 import pytest
 
-from seaweeds.compositions import all_pairs, parse_seaweed_type
+from seaweeds.compositions import Composition, SeaweedType, all_pairs, parse_seaweed_type
 from seaweeds.meander import (
     build_meander,
     component_summary,
@@ -101,6 +104,29 @@ def test_index_examples():
     assert seaweed_index(parse_seaweed_type("4/4")) == 3
     assert seaweed_index(parse_seaweed_type("5|3/3|3|2")) == 1
     assert seaweed_index(parse_seaweed_type("4|4/2|4|2")) == 1
+
+
+def test_index_join_matches_the_walk():
+    # seaweed_index joins path ends and lists nothing; component_summary
+    # walks every vertex: two independent readings of 2*cycles + paths - 1.
+    # Every pair with n <= 7, then seeded types over the sizes `seaweeds
+    # index` is asked for: n log-uniform up to 4096, mean part log-uniform
+    # up to 300, and sides of one part or of n ones.
+    rng = random.Random(4096)
+
+    def composition(n, mean):
+        cuts = sorted(rng.sample(range(1, n), max(1, min(n, round(n / mean))) - 1))
+        return Composition(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+
+    types = [st for n in range(1, 8) for st in all_pairs(n)]
+    for i in range(300):
+        n = round(math.exp(rng.uniform(0, math.log(4096))))
+        mean = math.exp(rng.uniform(0, math.log(300)))
+        top = composition(n, mean)
+        bottom = [composition(n, mean), Composition((n,)), Composition((1,) * n)][i % 3]
+        types += [SeaweedType(top, bottom), SeaweedType(bottom, top)]
+    for st in types:
+        assert seaweed_index(st) == component_summary(build_meander(st)).index, st
 
 
 def test_index_bounds_and_max_iff_equal():
