@@ -38,7 +38,12 @@ common internal cut).  Each of the m-1 cut positions of size m is cut by the
 top, by the bottom or by neither, so there are 3^(m-1) irreducible pairs of
 size m, not 4^(m-1).  _census_rows tallies index + 1 over the irreducible
 pairs of every size m <= n, g_m, packed like the recurrence's rows, so g_m
-is the polynomial sum of count * y^(index + 1) at y = 2^(2n).  _compose
+is the polynomial sum of count * y^(index + 1) at y = 2^(2n).  It runs the
+kernel on half the tops, by the mirror rule: reversing both compositions
+(vertex i to m + 1 - i) mirrors the meander and keeps a pair irreducible,
+so the top whose m - 1 cut bits are those of t reversed, rev(t), has the
+index multiset of t.  Only canonical tops, t <= rev(t), run the kernel,
+and each counts twice unless it is its own mirror.  _compose
 multiplies them as ints: F_0 = 1, F_n = sum over m = 1..n of g_m * F_(n-m),
 and C(n, k) is field k + 1 of F_n.  So one tally gives every row C(m, .),
 m <= n (_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step
@@ -65,10 +70,14 @@ two, so the entries over the left bottoms are one slice of an earlier table
 plus the right pair's byte.
 
 The census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
-[tstart >> (n-m), tstop >> (n-m)) and builds the top tables of that range
-only; floor-shifting a partition of [0, 2^(n-1)) gives a partition of
-[0, 2^(m-1)).  Forked, each process takes one range, cut so each holds an
-equal share of the irreducible pairs; the parts' packed tallies add size
+[tstart >> (n-m), tstop >> (n-m)) and builds the top tables of the
+canonical tops of that range only; floor-shifting a partition of
+[0, 2^(n-1)) gives a partition of [0, 2^(m-1)).  A range tallies its
+canonical tops for their mirrors too, wherever those lie, so a range's
+tally is not that of its own tops: only the sum over a partition is the
+true tally.  Forked (_forked: one os.fork a range, results back through a
+pipe), each process takes one range, cut so each holds an equal share of
+the irreducible pairs of canonical tops; the parts' packed tallies add size
 by size, which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
@@ -88,6 +97,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 import os
 import signal
 from collections import Counter
@@ -95,6 +105,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from math import gcd
+from typing import NoReturn
 
 from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
@@ -108,12 +119,6 @@ DEFAULT_C22_MEANDER_LIMIT = 50
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
 GCD_TABLE_MAX_N = 300
-
-
-def get_context(method: str):
-    """multiprocessing.get_context, imported only by a census that forks."""
-    import multiprocessing
-    return multiprocessing.get_context(method)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -220,17 +225,41 @@ def _graph_sums(n: int, T: list[int], tcuts: int = 0) -> bytearray:
     return out
 
 
+def _mirrors(w: int) -> list[int]:
+    """Entry t: the w low bits of t in reverse order.  With w = n - 1 it is
+    the cut mask of the mirror of composition t of n (vertex i to n + 1 - i),
+    and entry t >> (n - m) that of composition t of m <= n."""
+    rev = [0]
+    for i in range(w):
+        rev = [r | b << i for r in rev for b in (0, 1)]
+    return rev
+
+
 def _census_rows(n: int, tstart: int, tstop: int) -> list[int]:
     """Entry m: packed tally of index + 1 (2n bits a sum, _unpack_row) over
-    the irreducible pairs of size m whose top mask lies in
-    [tstart >> (n - m), tstop >> (n - m)); entry 0 is 0.  The parallel
-    work unit."""
+    the irreducible pairs of size m whose top mask t lies in
+    [tstart >> (n - m), tstop >> (n - m)) and is canonical, t <= rev(t),
+    each counted twice unless t == rev(t); entry 0 is 0.  The parallel work
+    unit.
+
+    Mirroring both compositions (vertex i to m + 1 - i) mirrors the meander
+    and keeps a pair irreducible, so top rev(t) has the index multiset of
+    top t and only canonical tops run _graph_sums.  A range thus tallies its
+    canonical tops for their mirrors too, wherever those lie: only the sum
+    over a partition of [0, 2^(n-1)) is the true tally.
+    """
+    mirror = _mirrors(n - 1)
     rows = [0]
     for m in range(1, n + 1):
-        lo, hi = tstart >> (n - m), tstop >> (n - m)
-        sums = b"".join(_graph_sums(m, _top_table(m, tmask), tmask)
-                        for tmask in range(lo, hi))
-        rows.append(sum(sums.count(s) << s * 2 * n for s in range(1, m + 1)))
+        shift = n - m
+        once, twice = bytearray(), bytearray()
+        for tmask in range(tstart >> shift, tstop >> shift):
+            rev = mirror[tmask] >> shift
+            if tmask <= rev:
+                (twice if tmask < rev else once).extend(
+                    _graph_sums(m, _top_table(m, tmask), tmask))
+        rows.append(sum((once.count(s) + 2 * twice.count(s)) << s * 2 * n
+                        for s in range(1, m + 1)))
     return rows
 
 
@@ -249,7 +278,7 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
 
 def _cnk_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     """Rows C(m, .), m = 1..n: the recurrence's for one worker, else the
-    forked exhaustive census's from one pool (which refuses workers < 1)."""
+    forked exhaustive census's from one tally (which refuses workers < 1)."""
     if workers == 1:
         return _recurrence_rows(n)
     return _exhaustive_rows(n, workers)
@@ -374,14 +403,6 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _worker_init() -> None:
-    # Leaving the pool stops idle workers with SIGTERM.  A Python-level
-    # handler inherited through fork only sets a flag, which a worker about
-    # to wait on the task-queue lock (held by the terminating pool) never
-    # reads, so the pool hangs in join; the default action cannot miss.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
     """Reference path: census_cnk as the last row of _exhaustive_rows."""
     return _exhaustive_rows(n, workers)[n]
@@ -392,13 +413,10 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each."""
     _check_workers(workers)
     _check_census_limit(n)
-    if workers > 1:  # before counting CPUs: no fork is an error on any host
-        try:
-            ctx = get_context("fork")
-        except ValueError:
-            raise UsageError(
-                "workers > 1 needs the 'fork' start method, which this platform lacks"
-            ) from None
+    # before counting CPUs: no fork is an error on any host
+    if workers > 1 and not hasattr(os, "fork"):
+        raise UsageError(
+            "workers > 1 needs the 'fork' start method, which this platform lacks")
     half = 1 << (n - 1)
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -408,17 +426,83 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     if procs <= 1:
         irreducible = _census_rows(n, 0, half)
     else:
-        # a top mask with j cuts meets 2^(n-1-j) of the 3^(n-1) irreducible
-        # bottoms of size n: cut where that weight reaches each 1/procs
+        # a canonical top mask with j cuts runs _graph_sums on 2^(n-1-j)
+        # irreducible bottoms of size n, any other top on none: cut where
+        # that weight reaches each 1/procs
+        mirror = _mirrors(n - 1)
+        weights = [1 << (n - 1 - tmask.bit_count()) if tmask <= mirror[tmask] else 0
+                   for tmask in range(half)]
+        total = sum(weights)
         cuts, acc = [0], 0
-        for tmask in range(half):
-            acc += 1 << (n - 1 - tmask.bit_count())
-            while acc * procs >= 3 ** (n - 1) * len(cuts):
+        for tmask, weight in enumerate(weights):
+            acc += weight
+            while len(cuts) < procs and acc * procs >= total * len(cuts):
                 cuts.append(tmask + 1)
-        jobs = [(n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        with ctx.Pool(procs, initializer=_worker_init) as pool:
-            irreducible = list(map(sum, zip(*pool.starmap(_census_rows, jobs))))
+        jobs = [(n, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], half])]
+        irreducible = list(map(sum, zip(*_forked(_census_rows, jobs))))
     return _compose(n, irreducible)
+
+
+def _forked(fn, jobs: list[tuple]) -> list:
+    """[fn(*job) for job in jobs], each job in a child process forked for it.
+
+    A child marshals its result into a pipe and always leaves by os._exit,
+    so it runs none of the parent's exit handlers and flushes none of its
+    buffers.  It takes the default action on SIGTERM: a signal sent to the
+    process group stops it rather than run a handler written for the parent.
+    Signals stay blocked from before the fork until the parent has recorded
+    the child and the child is inside its own try, so no handler runs in
+    between.  The parent reads every pipe, then reaps every child, and
+    raises if one failed.  On any exception of its own, a SystemExit from a
+    SIGTERM handler included, it kills and reaps every child before
+    re-raising, so no census leaves a process behind.
+    """
+    pids, reads = [], []
+    try:
+        for job in jobs:
+            r, w = os.pipe()
+            reads.append(r)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(fn, job, w, mask)
+                pids.append(pid)
+            finally:
+                os.close(w)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        blobs = []
+        for r in reads:
+            with open(r, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise ChildProcessError(f"census processes failed, exit codes {codes}")
+    return [marshal.loads(blob) for blob in blobs]
+
+
+def _child(fn, job: tuple, w: int, mask) -> NoReturn:
+    """The body of a child of _forked: SIGTERM default and the parent's
+    signal mask back, then fn(*job) marshalled into w."""
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        data = marshal.dumps(fn(*job))
+        with open(w, "wb", closefd=False) as pipe:
+            pipe.write(data)
+        os._exit(0)
+    except BaseException:
+        import traceback  # only a failing child pays for it
+        traceback.print_exc()
+    finally:
+        os._exit(1)
 
 
 def _compose(n: int, g: list[int]) -> dict[int, dict[int, int]]:

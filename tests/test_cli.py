@@ -218,10 +218,7 @@ def test_bad_limit_env(capsys, monkeypatch, var):
 
 
 def test_table_workers_without_fork(capsys, monkeypatch):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(enumeration, "get_context", no_fork)
+    monkeypatch.delattr(enumeration.os, "fork")
     code, out, err = run(capsys, "table", "cnk", "--max-n", "6", "--workers", "2")
     assert code == 2
     assert out == ""

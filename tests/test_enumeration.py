@@ -1,9 +1,11 @@
 import copy
 import gc
 import json
+import os
 import random
 import signal
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -89,24 +91,45 @@ def test_census_parallel_agrees():
     assert census_cnk_exhaustive(8, workers=3) == census_cnk_exhaustive(8, workers=1)
 
 
+def _unfolded_rows(n):
+    """_census_rows(n, 0, 2^(n-1)) with _graph_sums run on every top."""
+    rows = [0]
+    for m in range(1, n + 1):
+        sums = b"".join(enumeration._graph_sums(m, enumeration._top_table(m, t), t)
+                        for t in range(1 << (m - 1)))
+        rows.append(sum(sums.count(s) << s * 2 * n for s in range(1, m + 1)))
+    return rows
+
+
 def test_census_rows_split_anywhere():
-    # the pool cuts [0, 2^(n-1)) into one top-mask range per process; any
-    # cuts, empty ranges included, merge to the same irreducible tally and
-    # compose to the same row
+    # the fork cuts [0, 2^(n-1)) into one top-mask range per process.  A
+    # range tallies its canonical tops, t <= rev(t), twice unless t is its
+    # own mirror, so only a partition's sum is the true tally: any cuts,
+    # empty ranges and a top apart from its mirror included, merge to the
+    # unfolded tally and compose to the same rows.  Skipping the doubling,
+    # or doubling the palindromes, changes the sum.
     rng = random.Random(6)
-    for n in range(1, 8):
+    recurrence = enumeration._recurrence_rows(10)
+    for n in range(1, 11):
         half = 1 << (n - 1)
-        want = census_cnk_naive(n)
-        whole = enumeration._census_rows(n, 0, half)
-        assert enumeration._compose(n, whole)[n] == want
-        for _ in range(4):
-            inner = sorted(rng.randint(0, half) for _ in range(rng.randint(1, 5)))
-            cuts = [0] + inner + [half]
+        want = _unfolded_rows(n)
+        rows = enumeration._compose(n, want)
+        assert rows == {m: recurrence[m] for m in range(1, n + 1)}, n
+        partitions = [[0, half]]
+        if n >= 3:
+            # top 1 (a cut after vertex 1) apart from its mirror 2^(n-2)
+            assert enumeration._mirrors(n - 1)[1] == half >> 1
+            partitions.append([0, 2, half])
+        for k in (2, 3, 5):
+            for _ in range(2):
+                inner = sorted(rng.randint(0, half) for _ in range(k - 1))
+                partitions.append([0, *inner, half])
+        for cuts in partitions:
             parts = [enumeration._census_rows(n, lo, hi)
                      for lo, hi in zip(cuts, cuts[1:])]
             merged = list(map(sum, zip(*parts)))
-            assert merged == whole, (n, cuts)
-            assert enumeration._compose(n, merged)[n] == want, (n, cuts)
+            assert merged == want, (n, cuts)
+            assert enumeration._compose(n, merged) == rows, (n, cuts)
         assert enumeration._census_rows(n, half, half) == [0] * (n + 1)
         assert enumeration._census_rows(n, 0, 0) == [0] * (n + 1)
 
@@ -151,15 +174,36 @@ def test_irreducible_pairs_per_size():
     assert sizes == [0] + [3 ** (m - 1) for m in range(1, n + 1)]
 
 
+def _mirror_masks(m):
+    """Entry t: the mask of the composition of m with the parts of
+    composition t in reverse order."""
+    half = 1 << (m - 1)
+    mask_of = {composition_from_bitmask(m, t).parts: t for t in range(half)}
+    return [mask_of[composition_from_bitmask(m, t).parts[::-1]] for t in range(half)]
+
+
+def test_mirrored_tops_have_one_index_multiset():
+    # the fold rests on this: mirroring both compositions mirrors the meander
+    # and keeps a pair irreducible, so top rev(t) meets the irreducible
+    # bottoms of t's mirror, index for index
+    for m in range(1, 10):
+        mirror = _mirror_masks(m)
+        assert enumeration._mirrors(m - 1) == mirror, m
+        for t, r in enumerate(mirror):
+            sums = enumeration._graph_sums(m, enumeration._top_table(m, t), t)
+            rsums = enumeration._graph_sums(m, enumeration._top_table(m, r), r)
+            assert sorted(sums) == sorted(rsums), (m, t)
+
+
 def _sigterm_is_default(n, tstart, tstop):
     # one irreducible pair of size n, of index 1 if SIGTERM is default, else 0
     s = 1 + (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
     return [0] * n + [1 << s * 2 * n]
 
 
-def test_census_pool_workers_take_default_sigterm(monkeypatch):
-    # leaving the pool stops its workers with SIGTERM; a caller's
-    # Python-level handler inherited through fork can miss it and hang
+def test_census_children_take_default_sigterm(monkeypatch):
+    # a forked child takes the default action on SIGTERM; a caller's
+    # Python-level handler inherited through fork is written for the parent
     monkeypatch.setattr(enumeration, "_census_rows", _sigterm_is_default)
     monkeypatch.setattr(enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
@@ -170,62 +214,89 @@ def test_census_pool_workers_take_default_sigterm(monkeypatch):
         signal.signal(signal.SIGTERM, old)
 
 
-class _FakeContext:
-    """Stands in for the fork context: records the pool size it is asked
-    for and runs the jobs in this process."""
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def __init__(self):
-        self.sizes, self.jobs = [], []
 
-    def Pool(self, processes, initializer=None):
-        self.sizes.append(processes)
-        return self
+def _raises(n, tstart, tstop):
+    raise RuntimeError("census range failed")
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def test_census_child_failure_raises_in_parent(monkeypatch):
+    # a child that raises exits nonzero: the parent reaps every child and
+    # raises, and no process is left behind
+    monkeypatch.setattr(enumeration, "_census_rows", _raises)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ChildProcessError,
+                       match=r"^census processes failed, exit codes \[1, 1\]$"):
+        census_cnk_exhaustive(8, workers=2)
+    _no_child_left()
 
-    def starmap(self, fn, jobs):
-        self.jobs.append(len(jobs))
+
+def test_forked_parent_exception_kills_its_children():
+    # an exception in the parent while its children run, here SystemExit
+    # from a signal handler as a terminated benchmark raises, kills and
+    # reaps them before it propagates
+    old = signal.signal(signal.SIGALRM, lambda signum, frame: sys.exit(3))
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(SystemExit):
+            enumeration._forked(time.sleep, [(60,), (60,)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_forked_results_in_job_order():
+    assert enumeration._forked(pow, [(2, 100), (3, 5), (7, 0)]) == [2 ** 100, 243, 1]
+    assert enumeration._forked(pow, []) == []
+    _no_child_left()
+
+
+def _in_process(calls):
+    """Stands in for _forked: records the number of jobs, one process each,
+    and runs them in this process."""
+    def forked(fn, jobs):
+        calls.append(len(jobs))
         return [fn(*job) for job in jobs]
+    return forked
 
 
-def test_census_pool_bounded_by_cpus(monkeypatch):
-    ctx = _FakeContext()
-    monkeypatch.setattr(enumeration, "get_context", lambda method: ctx)
+def test_census_forks_bounded_by_cpus(monkeypatch):
+    calls = []
+    monkeypatch.setattr(enumeration, "_forked", _in_process(calls))
     monkeypatch.setattr(enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2}, raising=False)
     want = census_cnk_exhaustive(8)
     assert census_cnk_exhaustive(8, workers=1000) == want
     assert census_cnk_exhaustive(8, workers=2) == want
-    assert ctx.sizes == [3, 2]
-    assert ctx.jobs == [3, 2]
-    # no affinity call: the CPU count bounds the pool
+    assert calls == [3, 2]
+    # no affinity call: the CPU count bounds the processes
     monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
     assert census_cnk_exhaustive(8, workers=1000) == want
-    assert ctx.sizes[-1] == 5
+    assert calls[-1] == 5
 
 
-def test_forked_table_opens_one_pool(monkeypatch):
+def test_forked_table_forks_once(monkeypatch):
     # every row of the table comes from one forked tally
-    ctx = _FakeContext()
-    monkeypatch.setattr(enumeration, "get_context", lambda method: ctx)
+    calls = []
+    monkeypatch.setattr(enumeration, "_forked", _in_process(calls))
     monkeypatch.setattr(enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     table = build_table("cnk", 8, workers=2)
-    assert ctx.sizes == [2]
+    assert calls == [2]
     golden = load_golden("cnk")
     assert table.rows == {n: golden.rows[n] for n in range(1, 9)}
 
 
 def test_census_without_fork_is_a_usage_error(monkeypatch):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(enumeration, "get_context", no_fork)
+    monkeypatch.delattr(enumeration.os, "fork")
     with pytest.raises(UsageError):
         census_cnk_exhaustive(8, workers=2)
     assert census_cnk_exhaustive(8, workers=1) == census_cnk(8)
