@@ -75,10 +75,13 @@ canonical tops of that range only; floor-shifting a partition of
 [0, 2^(n-1)) gives a partition of [0, 2^(m-1)).  A range tallies its
 canonical tops for their mirrors too, wherever those lie, so a range's
 tally is not that of its own tops: only the sum over a partition is the
-true tally.  Forked (_forked: one os.fork a range, results back through a
-pipe), each process takes one range, cut so each holds an equal share of
-the irreducible pairs of canonical tops; the parts' packed tallies add size
-by size, which commutes, so the result never depends on the split.
+true tally.  Forked over procs processes (_forked: the caller runs the
+first range itself and one os.fork each runs every other, results back
+through a pipe), each process takes one range, cut so each holds an equal
+share of the work: the irreducible pairs of canonical tops plus a set-up
+cost a canonical top (_TOP_COST).  The caller fills the _bottom_blocks
+tables first, so the children inherit them.  The parts' packed tallies add
+size by size, which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families; homotopy_census tallies
 canonical homotopy types exhaustively.  Results are sparse maps (zero counts
@@ -119,6 +122,13 @@ DEFAULT_C22_MEANDER_LIMIT = 50
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
 GCD_TABLE_MAX_N = 300
+# The fork's range cuts weigh each canonical top by its irreducible bottoms
+# of size n plus this set-up cost: _top_table and the start of _graph_sums,
+# paid again at every smaller size, cost about as much as 32 bottoms of the
+# kernel.  Measured, not a setting: on 2 processes the CPU time of the first
+# range over the second went from 0.63, 0.71 and 0.73 at n = 10, 12 and 14
+# to 1.07, 1.00 and 0.92 with it (medians, 2-vCPU x86, CPython 3.11).
+_TOP_COST = 32
 
 
 def _env_int(name: str, default: int) -> int:
@@ -409,8 +419,9 @@ def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
 
 
 def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
-    """Rows C(m, .), m = 1..n, from one irreducible tally; forked over
-    min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each."""
+    """Rows C(m, .), m = 1..n, from one irreducible tally over
+    min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each:
+    the caller runs the first range and forks a child for each other."""
     _check_workers(workers)
     _check_census_limit(n)
     # before counting CPUs: no fork is an error on any host
@@ -427,11 +438,11 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
         irreducible = _census_rows(n, 0, half)
     else:
         # a canonical top mask with j cuts runs _graph_sums on 2^(n-1-j)
-        # irreducible bottoms of size n, any other top on none: cut where
-        # that weight reaches each 1/procs
+        # irreducible bottoms of size n, after a set-up of _TOP_COST, any
+        # other top on none: cut where that weight reaches each 1/procs
         mirror = _mirrors(n - 1)
-        weights = [1 << (n - 1 - tmask.bit_count()) if tmask <= mirror[tmask] else 0
-                   for tmask in range(half)]
+        weights = [(1 << (n - 1 - tmask.bit_count())) + _TOP_COST
+                   if tmask <= mirror[tmask] else 0 for tmask in range(half)]
         total = sum(weights)
         cuts, acc = [0], 0
         for tmask, weight in enumerate(weights):
@@ -439,27 +450,34 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
             while len(cuts) < procs and acc * procs >= total * len(cuts):
                 cuts.append(tmask + 1)
         jobs = [(n, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], half])]
+        # filled here, the tables of every size are inherited by each child
+        # and stay for the next call
+        for m in range(1, n + 1):
+            _bottom_blocks(m)
         irreducible = list(map(sum, zip(*_forked(_census_rows, jobs))))
     return _compose(n, irreducible)
 
 
 def _forked(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], each job in a child process forked for it.
+    """[fn(*job) for job in jobs]: jobs[0] runs in the caller, each other job
+    in a child process forked for it, so [] and one job fork nothing.
 
     A child marshals its result into a pipe and always leaves by os._exit,
-    so it runs none of the parent's exit handlers and flushes none of its
+    so it runs none of the caller's exit handlers and flushes none of its
     buffers.  It takes the default action on SIGTERM: a signal sent to the
-    process group stops it rather than run a handler written for the parent.
-    Signals stay blocked from before the fork until the parent has recorded
-    the child and the child is inside its own try, so no handler runs in
-    between.  The parent reads every pipe, then reaps every child, and
-    raises if one failed.  On any exception of its own, a SystemExit from a
-    SIGTERM handler included, it kills and reaps every child before
-    re-raising, so no census leaves a process behind.
+    process group stops it rather than run a handler written for the caller,
+    while the caller's own job keeps the caller's handlers.  Signals stay
+    blocked from before each fork until the caller has recorded the child
+    and the child is inside its own try, so no handler runs in between.
+    Once every child runs, the caller runs jobs[0], then reads every pipe,
+    reaps every child, and raises ChildProcessError if one failed.  On any
+    exception of its own, its job failing or a SystemExit from a SIGTERM
+    handler included, it kills and reaps every child before re-raising, so
+    no census leaves a process behind.
     """
     pids, reads = [], []
     try:
-        for job in jobs:
+        for job in jobs[1:]:
             r, w = os.pipe()
             reads.append(r)
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
@@ -471,6 +489,7 @@ def _forked(fn, jobs: list[tuple]) -> list:
             finally:
                 os.close(w)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results = [fn(*job) for job in jobs[:1]]
         blobs = []
         for r in reads:
             with open(r, "rb", closefd=False) as pipe:
@@ -485,11 +504,11 @@ def _forked(fn, jobs: list[tuple]) -> list:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise ChildProcessError(f"census processes failed, exit codes {codes}")
-    return [marshal.loads(blob) for blob in blobs]
+    return results + [marshal.loads(blob) for blob in blobs]
 
 
 def _child(fn, job: tuple, w: int, mask) -> NoReturn:
-    """The body of a child of _forked: SIGTERM default and the parent's
+    """The body of a child of _forked: SIGTERM default and the caller's
     signal mask back, then fn(*job) marshalled into w."""
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)

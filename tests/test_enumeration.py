@@ -202,14 +202,15 @@ def _sigterm_is_default(n, tstart, tstop):
 
 
 def test_census_children_take_default_sigterm(monkeypatch):
-    # a forked child takes the default action on SIGTERM; a caller's
-    # Python-level handler inherited through fork is written for the parent
+    # a forked child takes the default action on SIGTERM, since a caller's
+    # Python-level handler inherited through fork is written for the caller;
+    # the range the caller runs itself keeps that handler
     monkeypatch.setattr(enumeration, "_census_rows", _sigterm_is_default)
     monkeypatch.setattr(enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
     try:
-        assert census_cnk_exhaustive(8, workers=2) == {1: 2}
+        assert census_cnk_exhaustive(8, workers=2) == {0: 1, 1: 1}
     finally:
         signal.signal(signal.SIGTERM, old)
 
@@ -224,13 +225,27 @@ def _raises(n, tstart, tstop):
 
 
 def test_census_child_failure_raises_in_parent(monkeypatch):
-    # a child that raises exits nonzero: the parent reaps every child and
-    # raises, and no process is left behind
-    monkeypatch.setattr(enumeration, "_census_rows", _raises)
+    # a child that raises exits nonzero: the caller reaps every child and
+    # raises with the child's exit code, and no process is left behind.  The
+    # caller runs the range at top 0, the child the other
+    census_rows = enumeration._census_rows
+    monkeypatch.setattr(enumeration, "_census_rows",
+                        lambda n, lo, hi: (_raises if lo else census_rows)(n, lo, hi))
     monkeypatch.setattr(enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     with pytest.raises(ChildProcessError,
-                       match=r"^census processes failed, exit codes \[1, 1\]$"):
+                       match=r"^census processes failed, exit codes \[1\]$"):
+        census_cnk_exhaustive(8, workers=2)
+    _no_child_left()
+
+
+def test_census_caller_range_failure_propagates(monkeypatch):
+    # the caller's own range raising kills and reaps its child, and the
+    # range's exception is the one that propagates
+    monkeypatch.setattr(enumeration, "_census_rows", _raises)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    with pytest.raises(RuntimeError, match=r"^census range failed$"):
         census_cnk_exhaustive(8, workers=2)
     _no_child_left()
 
@@ -252,9 +267,70 @@ def test_forked_parent_exception_kills_its_children():
     _no_child_left()
 
 
+def _sleep_unless_zero(seconds):
+    if not seconds:
+        raise RuntimeError("caller's job failed")
+    time.sleep(seconds)
+
+
+def test_forked_caller_job_failure_kills_sleeping_children():
+    # the caller's job raising while its children sleep kills and reaps
+    # them before the exception propagates
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"^caller's job failed$"):
+        enumeration._forked(_sleep_unless_zero, [(0,), (60,), (60,)])
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_forked_fewer_than_two_jobs_fork_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("a child was forked")
+
+    monkeypatch.setattr(enumeration.os, "fork", no_fork)
+    assert enumeration._forked(pow, []) == []
+    assert enumeration._forked(pow, [(3, 5)]) == [243]
+
+
+def test_forked_census_matches_serial(monkeypatch):
+    # real forks: the caller and up to three children, every row n <= 10
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3}, raising=False)
+    for n in range(1, 11):
+        serial = enumeration._exhaustive_rows(n, 1)
+        for workers in (2, 3, 4):
+            assert enumeration._exhaustive_rows(n, workers) == serial, (n, workers)
+    _no_child_left()
+
+
+def test_forked_ranges_inherit_the_bottom_blocks(monkeypatch):
+    # the caller fills _bottom_blocks for every size before it forks, so no
+    # range builds a table: each range's cache misses ride in entry 0 of its
+    # tally, which _compose never reads, and their sum is 0
+    census_rows, compose = enumeration._census_rows, enumeration._compose
+    misses = []
+
+    def counting(n, tstart, tstop):
+        before = enumeration._bottom_blocks.cache_info().misses
+        rows = census_rows(n, tstart, tstop)
+        rows[0] = enumeration._bottom_blocks.cache_info().misses - before
+        return rows
+
+    def recording(n, g):
+        misses.append(g[0])
+        return compose(n, g)
+
+    monkeypatch.setattr(enumeration, "_census_rows", counting)
+    monkeypatch.setattr(enumeration, "_compose", recording)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    enumeration._bottom_blocks.cache_clear()
+    assert enumeration._exhaustive_rows(10, 3) == enumeration._recurrence_rows(10)
+    assert misses == [0]
+
+
 def test_forked_results_in_job_order():
     assert enumeration._forked(pow, [(2, 100), (3, 5), (7, 0)]) == [2 ** 100, 243, 1]
-    assert enumeration._forked(pow, []) == []
     _no_child_left()
 
 
