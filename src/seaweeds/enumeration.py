@@ -58,16 +58,8 @@ arc, at amortized O(1) a pair:
     index + 1 = 2*cycles + n - E
 
 (E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E needs no path counted.  It writes one byte a bottom, as a row
-of winding._wind_sums; a byte holds the value only while n < 256.
-
-_graph_tables(n) gives that value for every pair of every size <= n, in the
-layout of winding._wind_sums, for verify's per-pair winding check to compare
-byte for byte.  It runs _graph_sums on the irreducible pairs only and splits
-every other pair at its last common cut c: the left pair of size c is free,
-the right pair of size n - c is irreducible, and index + 1 is the sum of the
-two, so the entries over the left bottoms are one slice of an earlier table
-plus the right pair's byte.
+paths = n - E needs no path counted.  It writes one byte a bottom, in mask
+order; a byte holds the value only while n < 256.
 
 The census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
 [tstart >> (n-m), tstop >> (n-m)) and builds the top tables of the
@@ -113,7 +105,7 @@ from typing import NoReturn
 from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
 from .meander import _block_edges, _partners, seaweed_index
-from .winding import _PLUS, HomotopyType, _wind_homotopy, _wind_tally
+from .winding import HomotopyType, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
 DEFAULT_CENSUS_LIMIT = 14
@@ -539,50 +531,6 @@ def _compose(n: int, g: list[int]) -> dict[int, dict[int, int]]:
     for size in range(1, n + 1):
         F.append(sum(g[m] * F[size - m] for m in range(1, size + 1)))
     return {size: _unpack_row(F[size], 2 * n) for size in range(1, n + 1)}
-
-
-def _graph_tables(n_max: int) -> list[bytearray]:
-    """Graph index + 1 of every pair of compositions of each n <= n_max, in
-    the layout of winding._wind_sums: tables[n][t << (n-1) | b] belongs to
-    top mask t over bottom mask b, and tables[0] holds the empty pair.
-
-    Only the irreducible pairs run _graph_sums, whose bytes come in
-    increasing order of the submasks of ~t.  Every other pair splits at its
-    last common cut c, b = b2 << c | 1 << (c-1) | b1, into a free pair
-    (t1, b1) of size c and an irreducible pair (t2, b2) of size n - c, and
-    index + 1 adds over the two.  For fixed (t, c, b2) the entries over b1
-    are one slice of row t: row t1 of tables[c] plus tables[n-c][t2, b2].
-    """
-    _check_census_limit(n_max)
-    tables = [bytearray(1)]
-    for n in range(1, n_max + 1):
-        w = n - 1
-        half = 1 << w
-        table = bytearray(half << w)
-        for t in range(half):
-            row = t << w
-            free = ~t & (half - 1)
-            b = 0
-            for v in _graph_sums(n, _top_table(n, t), t):
-                table[row | b] = v
-                b = (b - free) & free
-            for c in range(1, n):
-                if not t >> (c - 1) & 1:
-                    continue
-                size, m = 1 << (c - 1), n - c
-                t1, t2 = t & (size - 1), t >> c
-                left = tables[c][t1 * size:(t1 + 1) * size]
-                right, rrow = tables[m], t2 << (m - 1)
-                rfree = ~t2 & ((1 << (m - 1)) - 1)
-                b2 = 0
-                while True:
-                    lo = row | b2 << c | size
-                    table[lo:lo + size] = left.translate(_PLUS[right[rrow | b2]])
-                    b2 = (b2 - rfree) & rfree
-                    if not b2:
-                        break
-        tables.append(table)
-    return tables
 
 
 def census_cnk_naive(n: int) -> dict[int, int]:

@@ -14,8 +14,9 @@ For a seaweed in sl(n) of this type,
     dimension = sum a_i(a_i+1)/2 + sum b_j(b_j+1)/2 - n - 1
     rank      = n - 1
 
-seaweed_index counts, without a walk: it joins path ends arc by arc, as the
-census kernel enumeration._graph_sums does for many bottoms at once.
+seaweed_index counts, without a walk: _join joins path ends arc by arc, as
+the census kernel enumeration._graph_sums does for many bottoms at once, and
+verify's winding certificate reads the same join on a prefix of a pair.
 component_summary walks the graph and lists each component's vertex set;
 the CLI's `index` reports it, and the tests hold the join against it.
 """
@@ -110,21 +111,22 @@ def component_summary(m: Meander) -> ComponentSummary:
     return ComponentSummary(len(comps) - paths, paths, tuple(map(tuple, comps)))
 
 
-def seaweed_index(t: SeaweedType) -> int:
-    """Index of the seaweed of type t, as index + 1 = 2*cycles + n - E.
+def _join(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[int], int]:
+    """Path ends and 2*cycles + paths of the arcs of top over bottom.
 
-    A path-end array is seeded with the top's partner table (end[u] = far
-    end of the path ending at u) and the value with n - (top arcs).  Each
-    bottom arc (u, w) closes a cycle if end[u] == w (+1); else the far ends
-    x, y of u and w now end one path (end[x], end[y] = y, x; -1).  The same
-    join runs over a prefix tree of bottoms in enumeration._graph_sums; here
-    it is written for one pair, with no Meander and no vertex lists.
+    The parts of top cover vertices 1..n, n = sum(top), and those of bottom
+    1..sum(bottom) <= n.  A path-end array is seeded with the top's partner
+    table (end[u] = far end of the path ending at u) and the value with
+    n - (top arcs).  Each bottom arc (u, w) closes a cycle if end[u] == w
+    (+1); else the far ends x, y of u and w now end one path (end[x], end[y]
+    = y, x; -1).  A vertex without a bottom arc stays a path end, so its
+    entry of the returned end array is the far end of its path.
     """
-    n = t.n
-    top = _block_edges(t.top.parts)
-    end = _partners(n, top)
-    val = n - len(top)
-    for u, w in _block_edges(t.bottom.parts):
+    n = sum(top)
+    arcs = _block_edges(top)
+    end = _partners(n, arcs)
+    val = n - len(arcs)
+    for u, w in _block_edges(bottom):
         x = end[u]
         if x == w:
             val += 1
@@ -133,7 +135,17 @@ def seaweed_index(t: SeaweedType) -> int:
             end[x] = y
             end[y] = x
             val -= 1
-    return val - 1
+    return end, val
+
+
+def seaweed_index(t: SeaweedType) -> int:
+    """Index of the seaweed of type t, as index + 1 = 2*cycles + n - E.
+
+    The path-end join (_join) counts it with no Meander and no vertex lists.
+    The same join runs over a prefix tree of bottoms in
+    enumeration._graph_sums; _join writes it for one pair or one prefix.
+    """
+    return _join(t.top.parts, t.bottom.parts)[1] - 1
 
 
 def seaweed_dimension(t: SeaweedType) -> int:

@@ -22,7 +22,6 @@ from functools import cache, partial
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
 from .enumeration import (
-    _graph_tables,
     _recurrence_rows,
     _transfer_rows,
     census_c21,
@@ -51,13 +50,13 @@ from .genfunc import (
     gf_coefficients,
     gf_coefficients_by_division,
 )
-from .meander import seaweed_dimension, seaweed_index
+from .meander import _join, seaweed_dimension, seaweed_index
 from .winding import (
     _wind_homotopy,
-    _wind_sums,
     format_signature,
     homotopy_index,
     wind_down,
+    wind_step,
 )
 
 SUITES = ("formulas", "gf", "recursion", "gcd", "winding", "all")
@@ -75,6 +74,7 @@ GF_CROSSCHECK_ORDER = 50
 GCD_2PARTS_MAX_N = 40
 GCD_3PARTS_MAX_N = 25
 WINDING_MAX_N = 10
+WINDING_MAX_PART = 24
 
 
 @dataclass(frozen=True)
@@ -298,28 +298,54 @@ def suite_gcd() -> VerifySuiteReport:
     return VerifySuiteReport("gcd", tuple(checks))
 
 
+def _boundary_state(top, bottom):
+    """The boundary state of a prefix, top parts over bottom parts.
+
+    The top covers vertices 1..n and the bottom 1..m, m <= n.  The rest of a
+    pair meets its prefix only at the bottom sides of the boundary vertices
+    m+1..n, so the prefix acts on every rest through its state: for each
+    boundary vertex, the boundary position (1..n-m) at which its path through
+    the prefix ends, or 0 for a dead end (a path that ends inside, or at the
+    vertex itself), and the value 2*cycles + paths of the components that
+    touch no boundary vertex.  Prefixes with equal states give every rest
+    the same graph index + 1.  A top shorter than its bottom has none.
+
+    The move of leading parts b < a takes d vertices off both fronts and
+    maps the boundary of a/b onto that of its new prefix, so equal states
+    before and after each move, with C(a) recording the value a of a/a,
+    prove by induction on n that the winding index equals the graph index
+    for every pair whose parts are all within the bound (no move raises the
+    largest part, and F is the mirror image).
+    """
+    n, m = sum(top), sum(bottom)
+    if n < m:
+        return "a top shorter than its bottom"
+    end, value = _join(top, bottom)
+    ends = tuple(end[v] - m if m < end[v] != v else 0 for v in range(m + 1, n + 1))
+    # each path through the boundary has two ends there or one dead end
+    dead = ends.count(0)
+    return ends, value - dead - (len(ends) - dead) // 2
+
+
 def suite_winding() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
     def agreement():
-        # both sides are index + 1, a byte a pair: the winding side by the mask
-        # recurrence, one move a pair, and no graph value feeds it; the graph
-        # side by the kernel on irreducible pairs, composed at common cuts
-        graph, sums = _graph_tables(WINDING_MAX_N), _wind_sums(WINDING_MAX_N)
-        total = irreducible = 0
-        for n in range(1, WINDING_MAX_N + 1):
-            g, s = graph[n], sums[n]
-            if g != s:
-                i = next(i for i in range(len(g)) if g[i] != s[i])
-                return False, (
-                    f"pair (n={n}, {i >> (n - 1)}, {i & ((1 << (n - 1)) - 1)}): "
-                    f"graph {g[i] - 1} != winding {s[i] - 1}"
-                )
-            total += len(g)
-            irreducible += 3 ** (n - 1)
-        return True, (f"all {total} pairs with n<={WINDING_MAX_N} agree: "
-                      f"{irreducible} irreducible by the graph kernel, "
-                      "the rest composed at their last common cut")
+        # the graph side is the state of a/b; the winding side that of the
+        # prefix wind_step leaves of a/b|a-b, whose last part a-b is the rest
+        # of the pair.  C(a) must record the value of a/a, with no boundary
+        pairs = []
+        for a in range(1, WINDING_MAX_PART + 1):
+            move, _ = wind_step(SeaweedType(Composition((a,)), Composition((a,))))
+            pairs.append((f"({a}, {a}, {move})", _boundary_state((a,), (a,)),
+                          ((), move.size)))
+            for b in range(1, a):
+                move, new = wind_step(
+                    SeaweedType(Composition((a,)), Composition((b, a - b))))
+                pairs.append((f"({a}, {b}, {move})", _boundary_state((a,), (b,)),
+                              _boundary_state(new.top.parts, new.bottom.parts[:-1])))
+        return _mismatches(pairs, f"leading parts b<=a<={WINDING_MAX_PART} "
+                                  f"({len(pairs)} moves)")
 
     _run(checks, "winding index equals graph index", agreement)
 

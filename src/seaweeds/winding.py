@@ -30,19 +30,17 @@ memoizes only those branch states, keyed (m, bottom prefix); a tally of
 sum(C-values) is one int with a fixed bit width per sum, so a branch adds
 ints and C(c) shifts by c widths.
 
-On cut masks (composition_from_bitmask) the leading part of a mask m is
-(m & -m).bit_length(), or n when m == 0, and every non-F move takes the
-same d vertices off the front of both sides (C: a, R: a-b, B and P: b): it
-shifts both masks right by d, and P also sets bit a-2b-1 of the new top, its
-cut after a-2b.  So one move takes a pair to a smaller pair, and _wind_sums
-builds sum(C-values) of every pair of every size up to a bound as a table
-per size, each entry one move and one lookup in a smaller table.  It is the
-winding side of verify's per-pair check against the graph index.
+Every non-F move takes the same d vertices off the front of both sides (C:
+a, R: a-b, B and P: b) and rewrites only the leading parts.  verify's
+winding certificate rests on that: for each move of leading parts b <= a it
+compares the graph's boundary state of the prefix before and after, which
+proves the winding index equals the graph index for every pair whose parts
+are all within its bound.
 
 A single pair is wound in one place, the deque kernel _wind_homotopy:
 wind_down records its moves and homotopy_components its C-values.
 wind_step is the single-step reference, one move on SeaweedType objects,
-that the tests compare the kernel against.
+that the tests compare the kernel against and the certificate reads.
 """
 
 from __future__ import annotations
@@ -238,59 +236,6 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
             got += _wind_tally(m, (a,), bottom, memo, w)
         memo[key] = got
     return got << shift
-
-
-# _PLUS[c] adds c to every byte (mod 256) under bytes.translate: the one
-# translate table of the byte-per-pair tables, here and in enumeration
-_PLUS = tuple(b[c:c + 256] for b in [bytes(range(256)) * 2] for c in range(256))
-
-
-def _wind_sums(n_max: int) -> list[bytearray]:
-    """sum(C-values) of every pair of compositions of each n <= n_max.
-
-    sums[n][t << (n-1) | b] belongs to the pair with top mask t and bottom
-    mask b (composition_from_bitmask); sums[0] holds the empty pair.  Every
-    non-F move takes the same d vertices off the front of both sides, so it
-    shifts both masks right by d and lands in the table of n - d, built
-    before.  The bottoms that share a leading part c,
-    b = k << c | 1 << (c-1), share the move, and their entries form one
-    strided slice there; F reads the swapped pair in the same table.  Sums
-    are at most n, so a byte holds each while n < 256.
-    """
-    sums = [bytearray(1)]
-    for n in range(1, n_max + 1):
-        w = n - 1
-        half = 1 << w
-        table = bytearray(half << w)
-        table[0] = n  # (n)/(n): C(n)
-        for t in range(half):  # every pair whose move is not F
-            a = (t & -t).bit_length() or n
-            row = t << w
-            for c in range(1, min(a, w) + 1):  # bottoms b != 0, b[0] = c <= a
-                if c == a:  # C(a)
-                    d = a
-                elif a < 2 * c:  # R
-                    d = a - c
-                else:  # B, P
-                    d = c
-                top = t >> d
-                if a > 2 * c:  # P: the new leading part a - 2c
-                    top |= 1 << (a - 2 * c - 1)
-                m = n - d
-                lo = top << (m - 1)
-                got = sums[m][lo | (1 << (c - 1)) >> d:lo + (1 << (m - 1)):
-                              1 << (c - d)]
-                table[row | 1 << (c - 1):row + half:1 << c] = (
-                    got.translate(_PLUS[a]) if c == a else got)
-        for t in range(1, half):  # F: bottoms whose leading part c > t[0]
-            a = (t & -t).bit_length()
-            row = t << w
-            table[row] = table[t]  # bottom (n)
-            for c in range(a + 1, n):
-                table[row | 1 << (c - 1):row + half:1 << c] = (
-                    table[(1 << (c - 1) << w) | t::1 << (c + w)])
-        sums.append(table)
-    return sums
 
 
 def homotopy_index(h: HomotopyType) -> int:

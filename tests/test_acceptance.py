@@ -33,7 +33,7 @@ from seaweeds.formulas import (
 )
 from seaweeds.genfunc import builtin_gfs, gf_coefficients
 from seaweeds.meander import seaweed_dimension, seaweed_index
-from seaweeds.winding import format_signature, homotopy_index, wind_down
+from seaweeds.winding import format_signature, homotopy_components, wind_down
 
 
 def _report(capsys, num: int, slug: str, ok: bool, detail: str = "") -> None:
@@ -140,8 +140,7 @@ def test_criterion_07_winding_down_sound(capsys):
     checked = 0
     for n in range(1, 11):
         for st in all_pairs(n):
-            _, h = wind_down(st)
-            if homotopy_index(h) != seaweed_index(st):
+            if sum(homotopy_components(st)) - 1 != seaweed_index(st):
                 agree = False
             checked += 1
     sig, h = wind_down(parse_seaweed_type("15/2|5|1|5|2"))

@@ -367,6 +367,15 @@ def test_verify_refused_census_exits_3(capsys, monkeypatch):
     assert err == f"error: {e.value}\n"
 
 
+def test_verify_winding_runs_no_census(capsys, monkeypatch):
+    # the winding certificate builds prefixes, not census rows, so no census
+    # limit refuses it
+    monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "1")
+    code, out, err = run(capsys, "verify", "winding")
+    assert (code, err) == (0, "")
+    assert out.endswith("suite winding: passed (4/4)\n")
+
+
 def test_verify_census_error_is_a_failed_check(capsys, monkeypatch):
     # any other error of the census fails the check that runs it first
     def broken(closing, depth, left):

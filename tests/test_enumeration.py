@@ -144,18 +144,6 @@ def test_census_composes_the_full_rows():
         assert census_cnk_exhaustive(n) == full, n
 
 
-def test_graph_tables_compose_every_pair():
-    # the composition at last common cuts against the kernel on every pair,
-    # with no winding value on either side; an entry never written stays 0
-    tables = enumeration._graph_tables(9)
-    assert tables[0] == bytearray(1)
-    for n in range(1, 10):
-        direct = b"".join(
-            enumeration._graph_sums(n, enumeration._top_table(n, tmask))
-            for tmask in range(1 << (n - 1)))
-        assert tables[n] == direct, n
-
-
 def test_compose_keeps_every_pair_in_one_field():
     # every pair factors uniquely into irreducibles, 3^(m-1) of size m: with
     # all of them in field 0, each row holds all 4^(size-1) pairs there, and
@@ -518,7 +506,7 @@ def test_census_limit_env(monkeypatch):
 
 @pytest.mark.parametrize(
     "census", [census_cnk, census_cnk_exhaustive, census_cnk_naive, homotopy_census,
-               enumeration._transfer_rows, enumeration._graph_tables],
+               enumeration._transfer_rows],
     ids=lambda f: f.__name__,
 )
 def test_census_guard(monkeypatch, census):

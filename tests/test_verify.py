@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from seaweeds import enumeration, verify
+from seaweeds.compositions import Composition, SeaweedType
 from seaweeds.verify import (
     SUITES,
     CheckResult,
@@ -8,6 +11,7 @@ from seaweeds.verify import (
     _run,
     run_suite,
 )
+from seaweeds.winding import Move
 
 
 def test_suite_names():
@@ -103,8 +107,7 @@ ALL_CHECKS = [
     ("gcd: two parts over two vs meander",
      "two parts over two, n<=25 (4899 types); all equal"),
     ("winding: winding index equals graph index",
-     "all 349525 pairs with n<=10 agree: 29524 irreducible by the graph "
-     "kernel, the rest composed at their last common cut"),
+     "leading parts b<=a<=24 (300 moves); all equal"),
     ("winding: worked 15-vertex example",
      "all equal"),
     ("winding: equal index, distinct homotopy witness",
@@ -188,80 +191,125 @@ def test_run_captures_exceptions():
     assert checks[1].detail == "all good"
 
 
-def _winding_check_with_one_off_pair(monkeypatch, n, entry):
-    # the graph side comes from the census kernel; the winding side comes
-    # from the mask tables, with one pair's sum off by one
-    wind_sums = verify._wind_sums
+def _plant(monkeypatch, tag, rule):
+    # wind_step with its `tag` moves replaced by rule(a, b, top rest, bottom
+    # rest); a rule's pair is two bare compositions, not a SeaweedType, so a
+    # fault that changes one side's length reaches the check's comparison
+    # instead of the equal-sum guard
+    wind_step = verify.wind_step
 
-    def off_on_one_pair(n_max):
-        sums = wind_sums(n_max)
-        sums[n][entry] += 1
-        return sums
+    def faulty(st):
+        move, new = wind_step(st)
+        if move.tag != tag:
+            return move, new
+        (a, *ta), (b, *tb) = st.top.parts, st.bottom.parts
+        return rule(a, b, tuple(ta), tuple(tb))
 
-    monkeypatch.setattr(verify, "_wind_sums", off_on_one_pair)
-    report = run_suite("winding")
-    return next(line for line in report.format().splitlines()
+    monkeypatch.setattr(verify, "wind_step", faulty)
+
+
+def _failed_winding_line():
+    line = next(line for line in run_suite("winding").format().splitlines()
                 if "winding index equals graph index" in line)
+    assert line.startswith("[FAIL] winding index equals graph index (")
+    return line
+
+
+def _pair(top, bottom):
+    return SimpleNamespace(top=Composition(top), bottom=Composition(bottom))
+
+
+# one wrong rule per move: R gives bottom a-b, not 2b-a (the two agree where
+# 2a = 3b), B keeps its bottom, P swaps its two new parts, C records a + 1
+FAULTS = {
+    "R": lambda a, b, ta, tb: (Move("R"), _pair((b,) + ta, (a - b,) + tb)),
+    "B": lambda a, b, ta, tb: (Move("B"), _pair((b,) + ta, (b,) + tb)),
+    "P": lambda a, b, ta, tb: (Move("P"), _pair((b, a - 2 * b) + ta, tb)),
+    "C": lambda a, b, ta, tb: (Move("C", a + 1), None),
+}
+
+
+def _only_at(at, tag):
+    # the fault of `tag` at leading parts `at`, the true move everywhere else
+    wind_step = verify.wind_step
+
+    def rule(a, b, ta, tb):
+        if (a, b) == at:
+            return FAULTS[tag](a, b, ta, tb)
+        return wind_step(SeaweedType(Composition((a,) + ta),
+                                     Composition((b,) + tb)))
+
+    return rule
+
+
+@pytest.mark.parametrize("tag, first", [
+    ("R", "(4, 3, R): expected ((0,), 0), got ((0, 0), 0)"),
+    ("B", "(2, 1, B): expected ((0,), 0), got ((), 1)"),
+    ("P", "(4, 1, P): expected ((2, 1, 0), 0), got ((0, 3, 2), 0)"),
+    ("C", "(1, 1, C(2)): expected ((), 1), got ((), 2)"),
+], ids=list(FAULTS))
+def test_winding_check_names_a_planted_move_fault(monkeypatch, tag, first):
+    # each fault is caught at the smallest leading parts it changes, so the
+    # states the check compares are not equal by construction
+    _plant(monkeypatch, tag, FAULTS[tag])
+    assert f"; first: {first}" in _failed_winding_line()
+
+
+def test_winding_check_reports_a_short_top_as_a_mismatch(monkeypatch):
+    # R with its new parts swapped leaves top 1 over bottom 2 at (3, 2): a
+    # mismatch, not an IndexError out of the partner table
+    _plant(monkeypatch, "R",
+           lambda a, b, ta, tb: (Move("R"), _pair((2 * b - a,) + ta, (b,) + tb)))
+    line = _failed_winding_line()
+    assert ("; first: (3, 2, R): expected ((0,), 0), "
+            "got a top shorter than its bottom") in line
+    assert "raised" not in line
 
 
 def test_winding_check_fails_on_one_pair(monkeypatch):
-    # the first pair, so the check stops at once
-    line = _winding_check_with_one_off_pair(monkeypatch, 1, 0)
-    assert line.startswith("[FAIL] winding index equals graph index")
-    assert "pair (n=1, 0, 0): graph 0 != winding 1" in line
+    # C(5) recording 6 and every other move right: one mismatch, named
+    _plant(monkeypatch, "C", _only_at((5, 5), "C"))
+    assert _failed_winding_line().endswith("(300 moves); 1 mismatch(es); "
+                         "first: (5, 5, C(6)): expected ((), 5), got ((), 6)")
 
 
 def test_winding_check_reaches_the_last_pair(monkeypatch):
-    # the last pair of the largest size: 1|...|1 over itself, ten C(1)s
-    line = _winding_check_with_one_off_pair(monkeypatch, 10, -1)
-    assert line.startswith("[FAIL] winding index equals graph index")
-    assert "pair (n=10, 511, 511): graph 9 != winding 10" in line
+    # the last move the loop reaches below WINDING_MAX_PART = 24: 24 over 23
+    _plant(monkeypatch, "R", _only_at((24, 23), "R"))
+    assert "; 1 mismatch(es); first: (24, 23, R): " in _failed_winding_line()
 
 
 def test_winding_check_names_a_middle_pair(monkeypatch):
-    # top 1|2|4 (mask 5) over bottom 1|3|3 (mask 9): both masks nonzero and
-    # not maximal, so a swapped or shifted (tmask, bmask) names another pair
-    line = _winding_check_with_one_off_pair(monkeypatch, 7, 5 << 6 | 9)
-    assert line.startswith("[FAIL] winding index equals graph index")
-    assert "pair (n=7, 5, 9): graph 1 != winding 2" in line
+    # 7 over 2 alone, so a label with a and b swapped, or taken from another
+    # move, names another pair
+    _plant(monkeypatch, "P", _only_at((7, 2), "P"))
+    assert "; 1 mismatch(es); first: (7, 2, P): " in _failed_winding_line()
 
 
-def test_winding_check_names_the_small_pair_not_its_compositions(monkeypatch):
-    # top 1|1|1 (mask 3) over bottom 1|2 (mask 1) cuts in common after vertex
-    # 1; the graph side builds every larger pair that begins with it from its
-    # byte, and the check still names the fault where it sits, at n = 3
-    line = _winding_check_with_one_off_pair(monkeypatch, 3, 3 << 2 | 1)
-    assert line.startswith("[FAIL] winding index equals graph index")
-    assert "pair (n=3, 3, 1): graph 1 != winding 2" in line
+@pytest.mark.parametrize("top, bottom, first", [
+    ((24,), (24,), "(24, 24, C(24)): expected ((), 25), got ((), 24)"),
+    ((23,), (21,), "(23, 21, R): expected ((0, 0), 1), got ((0, 0), 0)"),
+    ((1, 1), (), "(3, 1, P): expected ((0, 0), 0), got ((0, 0), 1)"),
+], ids=["last C", "graph side", "winding side"])
+def test_winding_check_catches_a_graph_fault(monkeypatch, top, bottom, first):
+    # the join off by one on one prefix: the state of the pair before a move
+    # (the graph side) or of the prefix a move leaves (the winding side).  One
+    # move reads each of these: R leaves 23/21 of 25/23 too, past the bound
+    join = verify._join
 
+    def off_on_one_prefix(t, b):
+        end, value = join(t, b)
+        return end, value + ((t, b) == (top, bottom))
 
-@pytest.mark.parametrize("n, want", [(10, "graph 10 != winding 9"),
-                                     (2, "graph 2 != winding 1")])
-def test_winding_check_catches_a_graph_fault_at_an_irreducible_pair(
-        monkeypatch, n, want):
-    # the kernel off by one at top (n) over bottom (n), an irreducible pair:
-    # at n = 10 no larger pair reads it, at n = 2 every composed pair with it
-    # as a factor inherits the fault, and the check names (n, 0, 0) either way
-    graph_sums = enumeration._graph_sums
-
-    def off_at_whole_over_whole(m, T, tcuts=0):
-        out = graph_sums(m, T, tcuts)
-        if m == n and tcuts == 0:
-            out[0] += 1
-        return out
-
-    monkeypatch.setattr(enumeration, "_graph_sums", off_at_whole_over_whole)
-    line = next(line for line in run_suite("winding").format().splitlines()
-                if "winding index equals graph index" in line)
-    assert line.startswith("[FAIL] winding index equals graph index")
-    assert f"pair (n={n}, 0, 0): {want}" in line
+    monkeypatch.setattr(verify, "_join", off_on_one_prefix)
+    assert f"; 1 mismatch(es); first: {first}" in _failed_winding_line()
 
 
 def test_details_and_loops_follow_the_bounds(monkeypatch):
     # each detail states the bound its loop runs to, read from one constant
-    c21_rows, c22_rows, wound = [], [], set()
+    c21_rows, c22_rows, wound, stepped = [], [], set(), set()
     census_c21, wind_homotopy = verify.census_c21, verify._wind_homotopy
-    census_c22 = verify.census_c22
+    census_c22, wind_step = verify.census_c22, verify.wind_step
     monkeypatch.setattr(verify, "census_c21",
                         lambda n: c21_rows.append(n) or census_c21(n))
     monkeypatch.setattr(verify, "census_c22",
@@ -269,10 +317,13 @@ def test_details_and_loops_follow_the_bounds(monkeypatch):
                         or census_c22(n, oracle))
     monkeypatch.setattr(verify, "_wind_homotopy",
                         lambda t, b: wound.add(sum(t)) or wind_homotopy(t, b))
+    monkeypatch.setattr(verify, "wind_step",
+                        lambda st: stepped.add(st.top.parts[0]) or wind_step(st))
     monkeypatch.setattr(verify, "C21_MAX_N", 7)
     monkeypatch.setattr(verify, "C22_GCD_MAX_N", 6)
     monkeypatch.setattr(verify, "C22_MEANDER_MAX_N", 4)
     monkeypatch.setattr(verify, "WINDING_MAX_N", 4)
+    monkeypatch.setattr(verify, "WINDING_MAX_PART", 5)
     details = {c.name: c.detail for c in run_suite("formulas").checks}
     assert details["c21 formula vs gcd brute force"] == "n<=7, all k; all equal"
     assert details["c22 formula vs gcd brute force"] == "n<=6, all k; all equal"
@@ -282,10 +333,10 @@ def test_details_and_loops_follow_the_bounds(monkeypatch):
     assert c22_rows == [(n, "gcd") for n in range(2, 7)] + [
         (n, oracle) for n in range(2, 5) for oracle in ("gcd", "meander")]
     details = {c.name: c.detail for c in run_suite("winding").checks}
-    # 1 + 4 + 16 + 64 pairs, 1 + 3 + 9 + 27 of them irreducible
+    # C(a) for each a <= 5 and the 10 moves of leading parts b < a <= 5
     assert details["winding index equals graph index"] == (
-        "all 85 pairs with n<=4 agree: 40 irreducible by the graph kernel, "
-        "the rest composed at their last common cut")
+        "leading parts b<=a<=5 (15 moves); all equal")
+    assert stepped == {1, 2, 3, 4, 5}
     assert details["same-composition homotopy"] == (
         "wind(p/p) returns the parts of p, n<=4")
     assert wound == {1, 2, 3, 4}

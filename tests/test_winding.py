@@ -8,7 +8,6 @@ from seaweeds.compositions import (
     SeaweedType,
     all_compositions,
     all_pairs,
-    composition_from_bitmask,
     parse_seaweed_type,
 )
 from seaweeds.errors import ParseError
@@ -18,7 +17,6 @@ from seaweeds.winding import (
     Move,
     Signature,
     _wind_homotopy,
-    _wind_sums,
     _wind_tally,
     format_signature,
     homotopy_components,
@@ -206,17 +204,25 @@ def test_homotopy_index_matches_graph_index():
             assert homotopy_index(h) == seaweed_index(st)
 
 
-def test_mask_sums_match_kernel():
-    # the mask recurrence against the deque kernel, pair by pair
-    sums = _wind_sums(8)
-    assert [len(t) for t in sums] == [1] + [4 ** (n - 1) for n in range(1, 9)]
-    for n in range(1, 9):
-        half = 1 << (n - 1)
-        parts = [composition_from_bitmask(n, m).parts for m in range(half)]
-        for t in range(half):
-            for b in range(half):
-                assert sums[n][t * half + b] == sum(
-                    _wind_homotopy(parts[t], parts[b])), (n, t, b)
+def test_a_move_keeps_the_graph_index_of_every_rest():
+    # the lemma under verify's winding certificate, by brute force: for
+    # leading parts b < a <= 6 and every rest of k <= 6 more vertices (top
+    # rest x bottom rest), the R, B or P move keeps seaweed_index
+    rests = [[()]] + [[c.parts for c in all_compositions(m)] for m in range(1, 12)]
+    moved = 0
+    for a in range(2, 7):
+        for b in range(1, a):
+            for k in range(7):
+                bottoms = [Composition((b,) + tb) for tb in rests[a - b + k]]
+                for ta in rests[k]:
+                    top = Composition((a,) + ta)
+                    for bottom in bottoms:
+                        st = SeaweedType(top, bottom)
+                        move, new = wind_step(st)
+                        assert move.tag in "RBP"
+                        assert seaweed_index(new) == seaweed_index(st), str(st)
+                        moved += 1
+    assert moved == 155667
 
 
 def test_recurrence_memoizes_only_branch_states():
