@@ -102,9 +102,9 @@ from importlib import resources
 from math import gcd
 from typing import NoReturn
 
-from .compositions import Composition, SeaweedType, all_pairs, composition_from_bitmask
+from .compositions import all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
-from .meander import _block_edges, _partners, seaweed_index
+from .meander import _block_edges, _joins, _partners, seaweed_index
 from .winding import HomotopyType, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
@@ -195,7 +195,7 @@ def _graph_sums(n: int, T: list[int], tcuts: int = 0) -> bytearray:
     with tcuts = the top's mask, only the pairs sharing no cut with the top
     remain, the irreducible pairs of the exhaustive census.
 
-    meander.seaweed_index writes the same join for one pair.  The two are
+    meander._joins writes the same join for one seeded top.  The two are
     kept apart on purpose: a shared helper called once a block slowed this
     loop by ~13%.
     """
@@ -550,9 +550,9 @@ def census_c21(n: int) -> dict[int, int]:
 def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     """Tally over all (n-1)^2 pairs (a|n-a, c|n-c) of the seaweed index.
 
-    oracle "gcd" uses index = gcd(n, n-a+c) - 1; oracle "meander" joins each
-    pair's meander arcs by seaweed_index (bounded, see
-    DEFAULT_C22_MEANDER_LIMIT).
+    oracle "gcd" uses index = gcd(n, n-a+c) - 1; oracle "meander" builds the
+    arcs of the n-1 compositions once and joins them by meander._joins under
+    each top, seeded once (bounded, see DEFAULT_C22_MEANDER_LIMIT).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -562,9 +562,9 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     if oracle != "meander":
         raise ValueError(f"unknown oracle {oracle!r}")
     _check_c22_meander_limit(n)
-    comps = [Composition((a, n - a)) for a in firsts]
-    return Counter(seaweed_index(SeaweedType(top, bottom))
-                   for top in comps for bottom in comps)
+    comps = [(a, n - a) for a in firsts]
+    bottoms = [_block_edges(c) for c in comps]
+    return Counter(val - 1 for top in comps for _, val in _joins(top, bottoms))
 
 
 def homotopy_census(n: int) -> dict[HomotopyType, int]:

@@ -14,9 +14,12 @@ For a seaweed in sl(n) of this type,
     dimension = sum a_i(a_i+1)/2 + sum b_j(b_j+1)/2 - n - 1
     rank      = n - 1
 
-seaweed_index counts, without a walk: _join joins path ends arc by arc, as
-the census kernel enumeration._graph_sums does for many bottoms at once, and
-verify's winding certificate reads the same join on a prefix of a pair.
+seaweed_index counts, without a walk: _join joins path ends arc by arc for
+one pair, and verify's winding certificate reads the same join on a prefix
+of a pair.  _joins, under _join, seeds one side once and joins each of many
+other sides into a copy: verify's gcd families and census_c22's meander
+oracle run it once per shared side.  The census kernel enumeration._graph_sums
+keeps its own copy of the join for many bottoms at once.
 component_summary walks the graph and lists each component's vertex set;
 the CLI's `index` reports it, and the tests hold the join against it.
 """
@@ -111,39 +114,51 @@ def component_summary(m: Meander) -> ComponentSummary:
     return ComponentSummary(len(comps) - paths, paths, tuple(map(tuple, comps)))
 
 
-def _join(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[int], int]:
-    """Path ends and 2*cycles + paths of the arcs of top over bottom.
+def _joins(top: tuple[int, ...], bottoms):
+    """Path ends and 2*cycles + paths of top over each bottom arc list.
 
-    The parts of top cover vertices 1..n, n = sum(top), and those of bottom
-    1..sum(bottom) <= n.  A path-end array is seeded with the top's partner
-    table (end[u] = far end of the path ending at u) and the value with
-    n - (top arcs).  Each bottom arc (u, w) closes a cycle if end[u] == w
-    (+1); else the far ends x, y of u and w now end one path (end[x], end[y]
-    = y, x; -1).  A vertex without a bottom arc stays a path end, so its
-    entry of the returned end array is the far end of its path.
+    The parts of top cover vertices 1..n, n = sum(top), and each bottom's
+    arcs (from _block_edges) lie within 1..n.  A path-end seed is built once
+    from the top's partner table (end[u] = far end of the path ending at u)
+    and the value n - (top arcs); each bottom is joined into a fresh copy of
+    it.  A bottom arc (u, w) closes a cycle if end[u] == w (+1); else the
+    far ends x, y of u and w now end one path (end[x], end[y] = y, x; -1).
+    A vertex without a bottom arc stays a path end, so its entry of a
+    yielded end array is the far end of its path.
     """
     n = sum(top)
     arcs = _block_edges(top)
-    end = _partners(n, arcs)
-    val = n - len(arcs)
-    for u, w in _block_edges(bottom):
-        x = end[u]
-        if x == w:
-            val += 1
-        else:
-            y = end[w]
-            end[x] = y
-            end[y] = x
-            val -= 1
-    return end, val
+    seed = _partners(n, arcs)
+    seed_val = n - len(arcs)
+    for bottom in bottoms:
+        end = seed[:]
+        val = seed_val
+        for u, w in bottom:
+            x = end[u]
+            if x == w:
+                val += 1
+            else:
+                y = end[w]
+                end[x] = y
+                end[y] = x
+                val -= 1
+        yield end, val
+
+
+def _join(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[int], int]:
+    """_joins of one pair, or of one prefix: the bottom's parts cover
+    1..sum(bottom) <= sum(top).  seaweed_index and verify's winding
+    certificate join one at a time; a family that shares a side calls
+    _joins once for it."""
+    return next(_joins(top, (_block_edges(bottom),)))
 
 
 def seaweed_index(t: SeaweedType) -> int:
     """Index of the seaweed of type t, as index + 1 = 2*cycles + n - E.
 
     The path-end join (_join) counts it with no Meander and no vertex lists.
-    The same join runs over a prefix tree of bottoms in
-    enumeration._graph_sums; _join writes it for one pair or one prefix.
+    _joins writes the join once; its copy in enumeration._graph_sums runs
+    it over a prefix tree of bottoms.
     """
     return _join(t.top.parts, t.bottom.parts)[1] - 1
 

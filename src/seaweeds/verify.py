@@ -50,7 +50,7 @@ from .genfunc import (
     gf_coefficients,
     gf_coefficients_by_division,
 )
-from .meander import _join, seaweed_dimension, seaweed_index
+from .meander import _block_edges, _join, _joins, seaweed_dimension, seaweed_index
 from .winding import (
     _wind_homotopy,
     format_signature,
@@ -272,29 +272,44 @@ def suite_recursion() -> VerifySuiteReport:
 def suite_gcd() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
-    def against_meander(bound, types):
-        # types: (label, top parts, bottom parts, the gcd formula's index)
-        pairs = [(label, want,
-                  seaweed_index(SeaweedType(Composition(top), Composition(bottom))))
-                 for label, top, bottom, want in types]
+    def against_meander(bound, groups):
+        # groups: (seeded side, [(label, arcs of the other side, the gcd
+        # formula's index)]); _joins seeds each side once for its group
+        pairs = []
+        for side, types in groups:
+            joined = _joins(side, [arcs for _, arcs, _ in types])
+            pairs += [(label, want, val - 1)
+                      for (label, _, want), (_, val) in zip(types, joined)]
         return _mismatches(pairs, f"{bound} ({len(pairs)} types)")
 
-    for name, bound, types in (
-        ("two parts over one", f"a+b<={GCD_2PARTS_MAX_N}",
-         ((f"{a}|{n - a}/{n}", (a, n - a), (n,), gcd_index_2parts(a, n - a))
-          for n in range(2, GCD_2PARTS_MAX_N + 1) for a in range(1, n))),
-        ("three parts over one", f"a+b+c<={GCD_3PARTS_MAX_N}",
-         ((f"{a}|{b}|{n - a - b}/{n}", (a, b, n - a - b), (n,),
-           gcd_index_3parts(a, b, n - a - b))
-          for n in range(3, GCD_3PARTS_MAX_N + 1)
-          for a in range(1, n - 1) for b in range(1, n - a))),
+    def two_over_one():
+        # the meander of t/b is that of b/t with its layers swapped, so the
+        # one-part side (n) is seeded as the top and a|b joined below it
+        for n in range(2, GCD_2PARTS_MAX_N + 1):
+            yield (n,), [(f"{a}|{n - a}/{n}", _block_edges((a, n - a)),
+                          gcd_index_2parts(a, n - a)) for a in range(1, n)]
+
+    def three_over_one():
+        for n in range(3, GCD_3PARTS_MAX_N + 1):
+            yield (n,), [(f"{a}|{b}|{n - a - b}/{n}", _block_edges((a, b, n - a - b)),
+                          gcd_index_3parts(a, b, n - a - b))
+                         for a in range(1, n - 1) for b in range(1, n - a)]
+
+    def two_over_two():
+        for n in range(3, GCD_3PARTS_MAX_N + 1):
+            bottoms = [_block_edges((c, n - c)) for c in range(1, n)]
+            for a in range(1, n):
+                yield (a, n - a), [(f"{a}|{n - a}/{c}|{n - c}", arcs,
+                                    gcd_index_3parts(a, n - a, c))
+                                   for c, arcs in enumerate(bottoms, 1)]
+
+    for name, bound, groups in (
+        ("two parts over one", f"a+b<={GCD_2PARTS_MAX_N}", two_over_one()),
+        ("three parts over one", f"a+b+c<={GCD_3PARTS_MAX_N}", three_over_one()),
         ("two parts over two", f"two parts over two, n<={GCD_3PARTS_MAX_N}",
-         ((f"{a}|{n - a}/{c}|{n - c}", (a, n - a), (c, n - c),
-           gcd_index_3parts(a, n - a, c))
-          for n in range(3, GCD_3PARTS_MAX_N + 1)
-          for a in range(1, n) for c in range(1, n))),
+         two_over_two()),
     ):
-        _run(checks, f"{name} vs meander", partial(against_meander, bound, types))
+        _run(checks, f"{name} vs meander", partial(against_meander, bound, groups))
     return VerifySuiteReport("gcd", tuple(checks))
 
 

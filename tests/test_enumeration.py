@@ -24,10 +24,16 @@ from seaweeds.enumeration import (
     load_golden,
     table_from_csv,
 )
-from seaweeds.compositions import SeaweedType, composition_from_bitmask
+from seaweeds.compositions import Composition, SeaweedType, composition_from_bitmask
 from seaweeds.errors import LimitExceeded, UsageError
 from seaweeds.formulas import DIAGONALS
-from seaweeds.meander import _block_edges, _partners, build_meander, component_summary
+from seaweeds.meander import (
+    _block_edges,
+    _partners,
+    build_meander,
+    component_summary,
+    seaweed_index,
+)
 from seaweeds.winding import HomotopyType, homotopy_index
 
 
@@ -461,6 +467,15 @@ def test_census_c22_meander_oracle():
     assert census_c22(4, oracle="meander") == {0: 4, 1: 2, 3: 3}
     for n in range(2, 13):
         assert census_c22(n, oracle="meander") == census_c22(n, oracle="gcd")
+
+
+def test_census_c22_meander_oracle_tallies_seaweed_index():
+    # the seeded join of census_c22 against one seaweed_index call a pair
+    for n in range(2, 13):
+        comps = [Composition((a, n - a)) for a in range(1, n)]
+        assert census_c22(n, oracle="meander") == Counter(
+            seaweed_index(SeaweedType(top, bottom))
+            for top in comps for bottom in comps), n
 
 
 def test_census_c22_bad_oracle():

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from seaweeds.compositions import Composition, SeaweedType, all_pairs, parse_seaweed_type
+from seaweeds.compositions import (
+    Composition,
+    SeaweedType,
+    all_pairs,
+    composition_from_bitmask,
+    parse_seaweed_type,
+)
 from seaweeds.meander import (
+    _block_edges,
+    _joins,
     build_meander,
     component_summary,
     meander_svg,
@@ -127,6 +135,20 @@ def test_index_join_matches_the_walk():
         types += [SeaweedType(top, bottom), SeaweedType(bottom, top)]
     for st in types:
         assert seaweed_index(st) == component_summary(build_meander(st)).index, st
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["mask order", "reversed"])
+def test_seeded_joins_match_the_walk(order):
+    # one seed a top, every bottom joined into its own copy: each value is
+    # the walk's index + 1 whatever bottoms came before it
+    for n in range(1, 8):
+        comps = [composition_from_bitmask(n, m) for m in range(1 << (n - 1))][::order]
+        bottoms = [_block_edges(b.parts) for b in comps]
+        for top in comps:
+            got = [value for _, value in _joins(top.parts, bottoms)]
+            want = [component_summary(build_meander(SeaweedType(top, b))).index + 1
+                    for b in comps]
+            assert got == want, top
 
 
 def test_index_bounds_and_max_iff_equal():

@@ -4,6 +4,7 @@ import pytest
 
 from seaweeds import enumeration, verify
 from seaweeds.compositions import Composition, SeaweedType
+from seaweeds.meander import _block_edges
 from seaweeds.verify import (
     SUITES,
     CheckResult,
@@ -133,17 +134,27 @@ def test_suites_are_looked_up_when_run(monkeypatch):
     assert not any(name.startswith("gcd: two parts") for name in names)
 
 
-def test_gcd_checks_read_seaweed_index_when_run(monkeypatch):
-    # an index off by one on 2|3/5 alone fails the one family it belongs to
-    seaweed_index = verify.seaweed_index
-    monkeypatch.setattr(
-        verify, "seaweed_index",
-        lambda st: seaweed_index(st) + (str(st) == "2|3/5"))
+@pytest.mark.parametrize("side, other, failed", [
+    ((5,), (2, 3), ("two parts over one vs meander",
+                    "a+b<=40 (780 types); "
+                    "1 mismatch(es); first: 2|3/5: expected 0, got 1")),
+    ((3, 2), (1, 4), ("two parts over two vs meander",
+                      "two parts over two, n<=25 (4899 types); "
+                      "1 mismatch(es); first: 3|2/1|4: expected 0, got 1")),
+], ids=["two-over-one", "two-over-two"])
+def test_gcd_checks_read_the_join_when_run(monkeypatch, side, other, failed):
+    # a join off by one on one type alone, 2|3/5 (the side (5) seeded, 2|3
+    # joined) or 3|2/1|4, fails the one family it belongs to and names it
+    joins, planted = verify._joins, _block_edges(other)
+
+    def off_on_one_type(seeded, bottoms):
+        bottoms = list(bottoms)
+        for arcs, (end, value) in zip(bottoms, joins(seeded, bottoms)):
+            yield end, value + (seeded == side and arcs == planted)
+
+    monkeypatch.setattr(verify, "_joins", off_on_one_type)
     report = run_suite("gcd")
-    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
-    assert failed == [("two parts over one vs meander",
-                       "a+b<=40 (780 types); "
-                       "1 mismatch(es); first: 2|3/5: expected 0, got 1")]
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [failed]
 
 
 def test_formulas_suite_tallies_once(monkeypatch):
