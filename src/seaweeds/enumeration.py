@@ -2,13 +2,12 @@
 
 census_cnk(n) tallies the seaweed index over all 4^(n-1) pairs by the
 winding-down recurrence (winding._wind_tally): states are fixed leading parts
-of both compositions, the five moves rewrite only those, and the index is
-sum(C-values) - 1.  The tally of sum(C-values) is one int, 2n bits a sum
-(_unpack_row reads it), and only states that branch over a next part are
-memoized, so a row costs a few hundred memo entries (875 at n = 14) instead
-of 4^(n-1) meander walks.  It rests on the theorem that the winding index
-equals the graph index, which the transfer sweep and the exhaustive path
-check row by row.
+of both compositions, the moves of winding._move, read from a table, rewrite
+only those, and the index is sum(C-values) - 1.  The tally is one int, 2n
+bits a sum (_unpack_row reads it), and only states that branch over a next
+part are memoized: 875 memo entries at n = 14, not 4^(n-1) meander walks.
+It runs the rule verify's move certificate proves; its traversal of the
+pairs is checked row by row by the transfer sweep and the exhaustive path.
 
 _transfer_rows(n) is the row oracle of verify: one sweep over the vertices
 1..n that reads only block arcs, so it rests neither on the winding theorem
@@ -105,7 +104,7 @@ from typing import NoReturn
 from .compositions import all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
 from .meander import _block_edges, _joins, _partners, seaweed_index
-from .winding import HomotopyType, _wind_homotopy, _wind_tally
+from .winding import HomotopyType, _move_table, _wind_homotopy, _wind_tally
 
 CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
 DEFAULT_CENSUS_LIMIT = 14
@@ -291,7 +290,7 @@ def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
     n holds the branch state (m, ()) of every m <= n."""
     _check_census_limit(n)
     memo = {}
-    _wind_tally(n, (), (), memo, 2 * n)
+    _wind_tally(n, (), (), memo, _move_table(n, 2 * n))
     return {m: _unpack_row(memo[m, ()], 2 * n) for m in range(1, n + 1)}
 
 

@@ -52,11 +52,11 @@ from .genfunc import (
 )
 from .meander import _block_edges, _join, _joins, seaweed_dimension, seaweed_index
 from .winding import (
+    _move,
     _wind_homotopy,
     format_signature,
     homotopy_index,
     wind_down,
-    wind_step,
 )
 
 SUITES = ("formulas", "gf", "recursion", "gcd", "winding", "all")
@@ -346,19 +346,19 @@ def suite_winding() -> VerifySuiteReport:
     checks: list[CheckResult] = []
 
     def agreement():
-        # the graph side is the state of a/b; the winding side that of the
-        # prefix wind_step leaves of a/b|a-b, whose last part a-b is the rest
-        # of the pair.  C(a) must record the value of a/a, with no boundary
+        # the graph side is the state of the prefix a/b, the winding side that
+        # of the heads _move puts in its place once d vertices are off the
+        # top.  C(d) leaves no heads and must record d = the value of a/a
         pairs = []
         for a in range(1, WINDING_MAX_PART + 1):
-            move, _ = wind_step(SeaweedType(Composition((a,)), Composition((a,))))
-            pairs.append((f"({a}, {a}, {move})", _boundary_state((a,), (a,)),
-                          ((), move.size)))
-            for b in range(1, a):
-                move, new = wind_step(
-                    SeaweedType(Composition((a,)), Composition((b, a - b))))
-                pairs.append((f"({a}, {b}, {move})", _boundary_state((a,), (b,)),
-                              _boundary_state(new.top.parts, new.bottom.parts[:-1])))
+            for b in (a, *range(1, a)):
+                tag, d, th, bh = _move(a, b)
+                if tag == "C":
+                    tag, got = f"C({d})", ((), d) if th == bh == () else (th, bh)
+                else:
+                    got = (_boundary_state(th, bh) if 0 < d == a - sum(th)
+                           else f"{d} vertices off, {a - sum(th)} off the top")
+                pairs.append((f"({a}, {b}, {tag})", _boundary_state((a,), (b,)), got))
         return _mismatches(pairs, f"leading parts b<=a<={WINDING_MAX_PART} "
                                   f"({len(pairs)} moves)")
 

@@ -23,24 +23,18 @@ index can be recovered from the homotopy type alone.  A component c counts
 
     index = sum(c_i) - 1
 
-The moves only ever read leading parts, which is what lets _wind_tally count
-the index over all pairs at once on fixed prefixes.  Between two states whose
-top prefix is empty the moves are forced, so it follows them in a loop and
-memoizes only those branch states, keyed (m, bottom prefix); a tally of
-sum(C-values) is one int with a fixed bit width per sum, so a branch adds
-ints and C(c) shifts by c widths.
-
-Every non-F move takes the same d vertices off the front of both sides (C:
-a, R: a-b, B and P: b) and rewrites only the leading parts.  verify's
-winding certificate rests on that: for each move of leading parts b <= a it
-compares the graph's boundary state of the prefix before and after, which
-proves the winding index equals the graph index for every pair whose parts
-are all within its bound.
-
-A single pair is wound in one place, the deque kernel _wind_homotopy:
-wind_down records its moves and homotopy_components its C-values.
-wind_step is the single-step reference, one move on SeaweedType objects,
-that the tests compare the kernel against and the certificate reads.
+The rule of C, R, B and P is written once, in _move(a, b): each takes the
+same d vertices off the front of both sides (C: a, R: a-b, B and P: b) and
+puts heads in place of a and b; F is the swap in each caller.  wind_step
+builds its objects from it.  _wind_tally, which counts the index over all
+pairs at once on fixed prefixes, reads it from a table built once a census.
+verify's winding certificate reads _move too: for each move of leading parts
+b <= a it compares the graph's boundary state of the prefix a/b with that of
+the heads, which proves the winding index equals the graph index for every
+pair whose parts are all within its bound.  So the census runs the rule the
+certificate proves.  The deque kernel _wind_homotopy winds a single pair for
+wind_down and homotopy_components; it keeps an inline copy of the rule on
+purpose, pinned to _move by the tests on every head pair.
 """
 
 from __future__ import annotations
@@ -65,6 +59,8 @@ class Move:
             raise ValueError(f"unknown move tag {self.tag!r}")
         if (self.tag == "C") != (self.size is not None):
             raise ValueError("size goes with C moves and only with them")
+        if self.tag == "C" and (not isinstance(self.size, int) or self.size < 1):
+            raise ValueError(f"C size must be a positive integer, got {self.size!r}")
 
     def __str__(self) -> str:
         return f"C({self.size})" if self.tag == "C" else self.tag
@@ -109,31 +105,37 @@ class HomotopyType:
         return "H(" + ",".join(str(c) for c in self.components) + ")"
 
 
+def _move(a: int, b: int) -> tuple[str, int, tuple[int, ...], tuple[int, ...]]:
+    """The move of leading parts a >= b: (tag, d, top head, bottom head).
+
+    It takes d vertices off the front of both sides and puts the heads in
+    place of a and b; C records d.  F, a < b, is the swap in each caller.
+    """
+    if a == b:
+        return "C", a, (), ()
+    if a < 2 * b:
+        return "R", a - b, (b,), (2 * b - a,)
+    if a == 2 * b:
+        return "B", b, (b,), ()
+    return "P", b, (a - 2 * b, b), ()
+
+
+_MOVES = {tag: Move(tag) for tag in "FRBP"}
+
+
 def wind_step(t: SeaweedType) -> tuple[Move, SeaweedType | None]:
     """Apply one move; the new type is None exactly when a C empties both sides.
 
-    The single-step public API, on validated objects: wind_down records the
-    deque kernel's moves instead, and the tests check them against this.
+    The single-step public API, on validated objects, built from _move:
+    wind_down records the deque kernel's moves instead.
     """
-    a, b = t.top.parts[0], t.bottom.parts[0]
-    ta, tb = t.top.parts[1:], t.bottom.parts[1:]
-    if a < b:
-        return Move("F"), SeaweedType(t.bottom, t.top)
-    if a == b:
-        if not ta and not tb:
-            return Move("C", a), None
-        if not ta or not tb:
-            # sums of the two sides always stay equal, so one side cannot
-            # run dry before the other
-            raise AssertionError("one-sided exhaustion; invariant broken")
-        return Move("C", a), SeaweedType(Composition(ta), Composition(tb))
-    if a < 2 * b:
-        return Move("R"), SeaweedType(
-            Composition((b,) + ta), Composition((2 * b - a,) + tb)
-        )
-    if a == 2 * b:
-        return Move("B"), SeaweedType(Composition((b,) + ta), Composition(tb))
-    return Move("P"), SeaweedType(Composition((a - 2 * b, b) + ta), Composition(tb))
+    top, bottom = t.top.parts, t.bottom.parts
+    if top[0] < bottom[0]:
+        return _MOVES["F"], SeaweedType(t.bottom, t.top)
+    tag, d, th, bh = _move(top[0], bottom[0])
+    top, bottom = th + top[1:], bh + bottom[1:]  # equal sums: both or neither empty
+    return (Move("C", d) if tag == "C" else _MOVES[tag],
+            SeaweedType(Composition(top), Composition(bottom)) if top else None)
 
 
 def wind_down(t: SeaweedType) -> tuple[Signature, HomotopyType]:
@@ -145,21 +147,19 @@ def wind_down(t: SeaweedType) -> tuple[Signature, HomotopyType]:
 
 
 def homotopy_components(t: SeaweedType) -> tuple[int, ...]:
-    """Recorded C-values only, via the deque kernel (no object churn).
-
-    wind_down records this kernel's moves; wind_step, one move at a time on
-    SeaweedType objects, is the reference it is tested against.  No census
-    calls it: homotopy_census winds parts with _wind_homotopy directly.
-    """
+    """Recorded C-values only, via the deque kernel (no object churn).  No
+    census calls it: homotopy_census winds parts with _wind_homotopy."""
     return _wind_homotopy(t.top.parts, t.bottom.parts)
-
-
-_MOVES = {tag: Move(tag) for tag in "FRBP"}
 
 
 def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     """Recorded C-values of top/bottom; each Move is appended to `moves` when
-    a list is given."""
+    a list is given.
+
+    The one copy of _move's rule, inline on purpose: a _move call a move
+    took homotopy_census(8) from 43 to 88 ms (medians of 15, 2-vCPU x86,
+    CPython 3.11), and parts up to MAX_TYPE_N rule out a table.
+    """
     dt, db = deque(top), deque(bottom)
     out = []
     while dt:
@@ -190,8 +190,16 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _move_table(n: int, w: int) -> list:
+    """mv[a][b], 1 <= b <= a <= n: _move(a, b) as _wind_tally reads it,
+    (d, top head, bottom head, shift), C's shift d*w and the others' 0."""
+    return [[None] + [(d, th, bh, d * w if tag == "C" else 0)
+                      for tag, d, th, bh in (_move(a, b) for b in range(1, a + 1))]
+            for a in range(n + 1)]
+
+
 def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
-                memo: dict, w: int) -> int:
+                memo: dict, mv: list) -> int:
     """Packed tally of sum(C-values) over all pairs of compositions of m
     whose top begins with the parts `top` and whose bottom with `bottom`.
 
@@ -200,11 +208,12 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
     census of n, which is at most 4^(n-1).  The parts after the prefixes are
     free.  While both prefixes are non-empty the move their leading parts
     select rewrites only the prefixes and every pair sharing them moves
-    alike, so the moves are followed in a loop, C(a) adding a to every sum
-    (a shift by a*w).  The loop stops at a branch state, an empty top prefix
-    after F, which adds up its next part's m choices.  Only branch states
-    are memoized, keyed (m, bottom) in `memo`; the caller owns it, keeps one
-    w for it, and drops it.
+    alike, so the moves are followed in a loop, read from mv =
+    _move_table(n, w): C(a) adds a to every sum (a shift by a*w).  The loop
+    stops at a branch state, an empty top prefix after F, which adds up its
+    next part's m choices.  Only branch states are memoized, keyed (m,
+    bottom) in `memo`; the caller owns it and mv, one w for both, and drops
+    them.
     """
     shift = 0
     while True:
@@ -214,26 +223,16 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
             return 1 << shift
         if not top:
             break
-        a, b = top[0], bottom[0]
-        if a == b:  # C(a)
-            m -= a
-            shift += a * w
-            top, bottom = top[1:], bottom[1:]
-        elif a < 2 * b:  # R
-            m -= a - b
-            top, bottom = (b,) + top[1:], (2 * b - a,) + bottom[1:]
-        elif a == 2 * b:  # B
-            m -= b
-            top, bottom = (b,) + top[1:], bottom[1:]
-        else:  # P
-            m -= b
-            top, bottom = (a - 2 * b, b) + top[1:], bottom[1:]
+        d, th, bh, c = mv[top[0]][bottom[0]]
+        m -= d
+        shift += c
+        top, bottom = th + top[1:], bh + bottom[1:]
     key = (m, bottom)
     got = memo.get(key)
     if got is None:
         got = 0
         for a in range(1, m + 1):
-            got += _wind_tally(m, (a,), bottom, memo, w)
+            got += _wind_tally(m, (a,), bottom, memo, mv)
         memo[key] = got
     return got << shift
 

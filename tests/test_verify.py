@@ -1,9 +1,6 @@
-from types import SimpleNamespace
-
 import pytest
 
 from seaweeds import enumeration, verify
-from seaweeds.compositions import Composition, SeaweedType
 from seaweeds.meander import _block_edges
 from seaweeds.verify import (
     SUITES,
@@ -12,7 +9,6 @@ from seaweeds.verify import (
     _run,
     run_suite,
 )
-from seaweeds.winding import Move
 
 
 def test_suite_names():
@@ -203,20 +199,14 @@ def test_run_captures_exceptions():
 
 
 def _plant(monkeypatch, tag, rule):
-    # wind_step with its `tag` moves replaced by rule(a, b, top rest, bottom
-    # rest); a rule's pair is two bare compositions, not a SeaweedType, so a
-    # fault that changes one side's length reaches the check's comparison
-    # instead of the equal-sum guard
-    wind_step = verify.wind_step
+    # verify's _move with its `tag` moves replaced by rule(a, b)
+    move = verify._move
 
-    def faulty(st):
-        move, new = wind_step(st)
-        if move.tag != tag:
-            return move, new
-        (a, *ta), (b, *tb) = st.top.parts, st.bottom.parts
-        return rule(a, b, tuple(ta), tuple(tb))
+    def faulty(a, b):
+        got = move(a, b)
+        return rule(a, b) if got[0] == tag else got
 
-    monkeypatch.setattr(verify, "wind_step", faulty)
+    monkeypatch.setattr(verify, "_move", faulty)
 
 
 def _failed_winding_line():
@@ -226,31 +216,21 @@ def _failed_winding_line():
     return line
 
 
-def _pair(top, bottom):
-    return SimpleNamespace(top=Composition(top), bottom=Composition(bottom))
-
-
-# one wrong rule per move: R gives bottom a-b, not 2b-a (the two agree where
-# 2a = 3b), B keeps its bottom, P swaps its two new parts, C records a + 1
+# one wrong rule per move, each taking off the top what its top head leaves:
+# R gives bottom a-b, not 2b-a (the two agree where 2a = 3b), B keeps its
+# bottom, P swaps its two new parts, C records a + 1
 FAULTS = {
-    "R": lambda a, b, ta, tb: (Move("R"), _pair((b,) + ta, (a - b,) + tb)),
-    "B": lambda a, b, ta, tb: (Move("B"), _pair((b,) + ta, (b,) + tb)),
-    "P": lambda a, b, ta, tb: (Move("P"), _pair((b, a - 2 * b) + ta, tb)),
-    "C": lambda a, b, ta, tb: (Move("C", a + 1), None),
+    "R": lambda a, b: ("R", a - b, (b,), (a - b,)),
+    "B": lambda a, b: ("B", b, (b,), (b,)),
+    "P": lambda a, b: ("P", b, (b, a - 2 * b), ()),
+    "C": lambda a, b: ("C", a + 1, (), ()),
 }
 
 
 def _only_at(at, tag):
     # the fault of `tag` at leading parts `at`, the true move everywhere else
-    wind_step = verify.wind_step
-
-    def rule(a, b, ta, tb):
-        if (a, b) == at:
-            return FAULTS[tag](a, b, ta, tb)
-        return wind_step(SeaweedType(Composition((a,) + ta),
-                                     Composition((b,) + tb)))
-
-    return rule
+    move = verify._move
+    return lambda a, b: FAULTS[tag](a, b) if (a, b) == at else move(a, b)
 
 
 @pytest.mark.parametrize("tag, first", [
@@ -269,12 +249,25 @@ def test_winding_check_names_a_planted_move_fault(monkeypatch, tag, first):
 def test_winding_check_reports_a_short_top_as_a_mismatch(monkeypatch):
     # R with its new parts swapped leaves top 1 over bottom 2 at (3, 2): a
     # mismatch, not an IndexError out of the partner table
-    _plant(monkeypatch, "R",
-           lambda a, b, ta, tb: (Move("R"), _pair((2 * b - a,) + ta, (b,) + tb)))
+    _plant(monkeypatch, "R", lambda a, b: ("R", 2 * (a - b), (2 * b - a,), (b,)))
     line = _failed_winding_line()
     assert ("; first: (3, 2, R): expected ((0,), 0), "
             "got a top shorter than its bottom") in line
     assert "raised" not in line
+
+
+@pytest.mark.parametrize("fault, got", [
+    (("R", 2, (2,), (1,)), "2 vertices off, 1 off the top"),
+    (("R", 0, (3,), (2,)), "0 vertices off, 0 off the top"),
+], ids=["d past the heads", "no move"])
+def test_winding_check_names_a_move_that_takes_the_wrong_d(monkeypatch, fault, got):
+    # equal states at 3 over 2, but the census takes d vertices off the sides
+    # the heads replace: one too many, or none, so the pair never shrinks
+    move = verify._move
+    monkeypatch.setattr(verify, "_move",
+                        lambda a, b: fault if (a, b) == (3, 2) else move(a, b))
+    assert _failed_winding_line().endswith(
+        f"1 mismatch(es); first: (3, 2, R): expected ((0,), 0), got {got}")
 
 
 def test_winding_check_fails_on_one_pair(monkeypatch):
@@ -320,7 +313,7 @@ def test_details_and_loops_follow_the_bounds(monkeypatch):
     # each detail states the bound its loop runs to, read from one constant
     c21_rows, c22_rows, wound, stepped = [], [], set(), set()
     census_c21, wind_homotopy = verify.census_c21, verify._wind_homotopy
-    census_c22, wind_step = verify.census_c22, verify.wind_step
+    census_c22, move = verify.census_c22, verify._move
     monkeypatch.setattr(verify, "census_c21",
                         lambda n: c21_rows.append(n) or census_c21(n))
     monkeypatch.setattr(verify, "census_c22",
@@ -328,8 +321,7 @@ def test_details_and_loops_follow_the_bounds(monkeypatch):
                         or census_c22(n, oracle))
     monkeypatch.setattr(verify, "_wind_homotopy",
                         lambda t, b: wound.add(sum(t)) or wind_homotopy(t, b))
-    monkeypatch.setattr(verify, "wind_step",
-                        lambda st: stepped.add(st.top.parts[0]) or wind_step(st))
+    monkeypatch.setattr(verify, "_move", lambda a, b: stepped.add(a) or move(a, b))
     monkeypatch.setattr(verify, "C21_MAX_N", 7)
     monkeypatch.setattr(verify, "C22_GCD_MAX_N", 6)
     monkeypatch.setattr(verify, "C22_MEANDER_MAX_N", 4)

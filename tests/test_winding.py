@@ -16,6 +16,8 @@ from seaweeds.winding import (
     HomotopyType,
     Move,
     Signature,
+    _move,
+    _move_table,
     _wind_homotopy,
     _wind_tally,
     format_signature,
@@ -51,22 +53,42 @@ def test_wind_step_examples():
 
 
 def test_wind_step_guards_cover_all_head_pairs():
-    # the move is a total function of (a1, b1): exactly one guard fires
-    for a1 in range(1, 13):
-        for b1 in range(1, 13):
-            st = parse_seaweed_type(f"{a1}|{b1 + 12}/{b1}|{a1 + 12}")
-            move, _ = wind_step(st)
+    # the move is a total function of (a1, b1): exactly one guard fires, and
+    # _move, the census table, wind_step and the deque kernel's first step
+    # agree on it, so the kernel's inline copy of the rule is _move's
+    mv = _move_table(24, 7)
+    for a1 in range(1, 25):
+        for b1 in range(1, 25):
+            ta, tb = (b1 + 24,), (a1 + 24,)
+            move, nxt = wind_step(SeaweedType(Composition((a1,) + ta),
+                                              Composition((b1,) + tb)))
+            moves = []
+            comps = _wind_homotopy((a1,) + ta, (b1,) + tb, moves)
+            assert moves[0] == move
             if a1 < b1:
-                want = "F"
-            elif a1 == b1:
-                want = "C"
-            elif a1 < 2 * b1:
-                want = "R"
-            elif a1 == 2 * b1:
-                want = "B"
+                assert move.tag == "F"
+                assert (nxt.top.parts, nxt.bottom.parts) == ((b1,) + tb, (a1,) + ta)
             else:
-                want = "P"
-            assert move.tag == want
+                tag, d, th, bh = _move(a1, b1)
+                if a1 == b1:
+                    want = "C"
+                elif a1 < 2 * b1:
+                    want = "R"
+                elif a1 == 2 * b1:
+                    want = "B"
+                else:
+                    want = "P"
+                assert move.tag == tag == want
+                assert mv[a1][b1] == (d, th, bh, 7 * d if tag == "C" else 0)
+                assert move == (Move("C", d) if tag == "C" else Move(tag))
+                assert (nxt.top.parts, nxt.bottom.parts) == (th + ta, bh + tb)
+                assert sum(th) == a1 - d and sum(bh) == b1 - d
+            # the parts the kernel's first step leaves wind on as wind_step's
+            rest_moves = []
+            rest = _wind_homotopy(nxt.top.parts, nxt.bottom.parts, rest_moves)
+            assert moves[1:] == rest_moves
+            recorded = (move.size,) if move.tag == "C" else ()
+            assert comps == recorded + rest
 
 
 def test_wind_down_move_sequence():
@@ -116,6 +138,10 @@ def test_move_validation():
         Move("C")  # size required
     with pytest.raises(ValueError):
         Move("F", 3)  # size forbidden
+    # a C size that parse_signature and HomotopyType refuse
+    for size in (0, -3, 2.0, "2"):
+        with pytest.raises(ValueError, match="C size must be a positive integer"):
+            Move("C", size)
 
 
 def test_signature_grammar_round_trip():
@@ -207,19 +233,23 @@ def test_homotopy_index_matches_graph_index():
 def test_a_move_keeps_the_graph_index_of_every_rest():
     # the lemma under verify's winding certificate, by brute force: for
     # leading parts b < a <= 6 and every rest of k <= 6 more vertices (top
-    # rest x bottom rest), the R, B or P move keeps seaweed_index
+    # rest x bottom rest), the R, B or P move _move gives keeps seaweed_index
+    # and takes its d vertices off
     rests = [[()]] + [[c.parts for c in all_compositions(m)] for m in range(1, 12)]
     moved = 0
     for a in range(2, 7):
         for b in range(1, a):
+            tag, d, th, bh = _move(a, b)
+            assert tag in "RBP"
+            assert sum(th) == a - d and sum(bh) == b - d
             for k in range(7):
-                bottoms = [Composition((b,) + tb) for tb in rests[a - b + k]]
+                bottoms = [(Composition((b,) + tb), Composition(bh + tb))
+                           for tb in rests[a - b + k]]
                 for ta in rests[k]:
-                    top = Composition((a,) + ta)
-                    for bottom in bottoms:
+                    top, new_top = Composition((a,) + ta), Composition(th + ta)
+                    for bottom, new_bottom in bottoms:
                         st = SeaweedType(top, bottom)
-                        move, new = wind_step(st)
-                        assert move.tag in "RBP"
+                        new = SeaweedType(new_top, new_bottom)
                         assert seaweed_index(new) == seaweed_index(st), str(st)
                         moved += 1
     assert moved == 155667
@@ -229,7 +259,7 @@ def test_recurrence_memoizes_only_branch_states():
     # moves between branch states are followed, not memoized; keying every
     # state (m, top, bottom) held 10125 entries here
     memo = {}
-    _wind_tally(14, (), (), memo, 28)
+    _wind_tally(14, (), (), memo, _move_table(14, 28))
     assert len(memo) == 875
     assert all(len(key) == 2 and isinstance(key[0], int)
                and isinstance(key[1], tuple) for key in memo)
