@@ -32,8 +32,11 @@ class Composition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("composition needs at least one part")
+        # the rule of Move's C size and HomotopyType's components too: an
+        # int proper, so that str() prints the decimal the parsers read back
+        # (not True, whose str is "True"), and at least 1
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
 
     @property

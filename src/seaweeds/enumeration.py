@@ -74,9 +74,28 @@ cost a canonical top (_TOP_COST).  The caller fills the _bottom_blocks
 tables first, so the children inherit them.  The parts' packed tallies add
 size by size, which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
-census_c22 tally the two restricted families; homotopy_census tallies
-canonical homotopy types exhaustively.  Results are sparse maps (zero counts
-omitted); every row C(n, .), either way, is decoded by _unpack_row.
+census_c22 tally the two restricted families.  Results are sparse maps (zero
+counts omitted); every row C(n, .), either way, is decoded by _unpack_row.
+
+homotopy_census composes at common cuts too.  If top and bottom both cut
+after vertex c, the homotopy type is the multiset union
+
+    H(T1T2/B1B2) = H(T1/B1) + H(T2/B2).
+
+Every move other than F reads and rewrites only the leading parts, and takes
+the same d vertices off the front of both sides (winding._move), so the
+common cut stays common: the first factor winds down as T1/B1 alone would,
+until a C empties it and leaves the second.  An F swaps T2 and B2 along
+with the first factor, which leaves B2/T2 in place of T2/B2; but H(t/b) =
+H(b/t) (induction on n: if the leading parts differ, one of the two pairs
+is the other after an F; if they are equal, both record the same C and
+leave swapped rests).  So _irreducible_homotopy winds only the 3^(m-1)
+irreducible pairs of each size m <= n into g_m, a tally of sorted C-tuples,
+and homotopy_census composes them like _compose: F_0 = {(): 1}, F_size =
+sum over m of g_m (x) F_(size-m), where (x) joins two keys by sorted
+concatenation and multiplies their counts.  The keys are dict keys, not
+packed fields, so the product is its own loop.  A step of n costs ~3x, not
+the 4x of winding every pair.
 
 Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
 be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
@@ -98,6 +117,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from itertools import repeat
 from math import gcd
 from typing import NoReturn
 
@@ -566,13 +586,55 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     return Counter(val - 1 for top in comps for _, val in _joins(top, bottoms))
 
 
+@cache
+def _homotopy_type(key: tuple[int, ...]) -> HomotopyType:
+    """The one HomotopyType of canonical tuple `key`, shared by every row.
+
+    A kept row of n = 8 (58 types) holds ~11 KB when each key is a fresh
+    HomotopyType and tuple, ~2.6 KB when the keys are shared (tracemalloc),
+    so a caller that keeps many rows pays ~4x for fresh ones.  The cache
+    holds one entry a multiset of sum <= n: a few hundred for every n the
+    default census limit allows.
+    """
+    return HomotopyType(key)
+
+
+def _irreducible_homotopy(m: int) -> Counter:
+    """Tally of sorted C-tuples over the 3^(m-1) irreducible pairs of size
+    m: the bottoms of top mask t are the submasks of the cuts t lacks."""
+    full = (1 << (m - 1)) - 1
+    parts = [composition_from_bitmask(m, t).parts for t in range(full + 1)]
+    wound = Counter()
+    for t, top in enumerate(parts):
+        bottoms, free = [0], full ^ t
+        while free:
+            bit = free & -free
+            free ^= bit
+            bottoms += [b | bit for b in bottoms]
+        wound.update(map(_wind_homotopy, repeat(top), [parts[b] for b in bottoms]))
+    g = Counter()
+    for comps, count in wound.items():  # one key a multiset: fewer to join
+        g[tuple(sorted(comps))] += count
+    return g
+
+
 def homotopy_census(n: int) -> dict[HomotopyType, int]:
-    """Tally of canonical homotopy types over all 4^(n-1) pairs."""
+    """Tally of canonical homotopy types over all 4^(n-1) pairs, in order of
+    canonical tuple, composed at common cuts from the irreducible pairs'
+    tallies (module docstring).  Each call builds a new dict; its keys are
+    the shared _homotopy_type objects.
+    """
     _check_census_limit(n)
-    parts = [composition_from_bitmask(n, m).parts for m in range(1 << (n - 1))]
-    counts = Counter(tuple(sorted(_wind_homotopy(tp, bp)))
-                     for tp in parts for bp in parts)
-    return {HomotopyType(key): v for key, v in sorted(counts.items())}
+    g = [None] + [_irreducible_homotopy(m) for m in range(1, n + 1)]
+    F = [{(): 1}]
+    for size in range(1, n + 1):
+        row = Counter()
+        for m in range(1, size + 1):
+            for head, c in g[m].items():
+                for tail, d in F[size - m].items():
+                    row[tuple(sorted(head + tail))] += c * d
+        F.append(row)
+    return {_homotopy_type(key): v for key, v in sorted(F[n].items())}
 
 
 # --- tables and golden data --------------------------------------------------

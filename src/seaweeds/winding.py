@@ -59,7 +59,7 @@ class Move:
             raise ValueError(f"unknown move tag {self.tag!r}")
         if (self.tag == "C") != (self.size is not None):
             raise ValueError("size goes with C moves and only with them")
-        if self.tag == "C" and (not isinstance(self.size, int) or self.size < 1):
+        if self.tag == "C" and (type(self.size) is not int or self.size < 1):
             raise ValueError(f"C size must be a positive integer, got {self.size!r}")
 
     def __str__(self) -> str:
@@ -87,7 +87,7 @@ class HomotopyType:
 
     def __post_init__(self):
         for c in self.components:
-            if c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError("components must be positive")
 
     def canonical(self) -> tuple[int, ...]:
@@ -157,8 +157,9 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     a list is given.
 
     The one copy of _move's rule, inline on purpose: a _move call a move
-    took homotopy_census(8) from 43 to 88 ms (medians of 15, 2-vCPU x86,
-    CPython 3.11), and parts up to MAX_TYPE_N rule out a table.
+    took homotopy_census(8), which winds the 3280 irreducible pairs of sizes
+    m <= 8, from 9.5 to 17-19 ms (medians of 31 alternating calls, 2-vCPU
+    x86, CPython 3.11), and parts up to MAX_TYPE_N rule out a table.
     """
     dt, db = deque(top), deque(bottom)
     out = []

@@ -80,6 +80,10 @@ def test_composition_validation():
         Composition((2, 0))
     with pytest.raises(ValueError):
         Composition((-1,))
+    # parts whose str() parse_composition would refuse
+    for bad in ((True, 2), (2, 1.0), ("3",)):
+        with pytest.raises(ValueError, match="^parts must be positive integers, got "):
+            Composition(bad)
     assert Composition((2, 4)).n == 6
     assert len(Composition((2, 4))) == 2
 

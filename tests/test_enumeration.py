@@ -34,7 +34,7 @@ from seaweeds.meander import (
     component_summary,
     seaweed_index,
 )
-from seaweeds.winding import HomotopyType, homotopy_index
+from seaweeds.winding import HomotopyType, _wind_homotopy, homotopy_index
 
 
 def test_census_small_rows():
@@ -501,6 +501,60 @@ def test_homotopy_census_collapses_to_index_census():
             k = homotopy_index(h)
             by_index[k] = by_index.get(k, 0) + cnt
         assert by_index == census_cnk(n)
+
+
+def _homotopy_census_brute(n):
+    # the oracle: wind all 4^(n-1) pairs, no common cuts
+    parts = [composition_from_bitmask(n, m).parts for m in range(1 << (n - 1))]
+    counts = Counter(tuple(sorted(_wind_homotopy(tp, bp)))
+                     for tp in parts for bp in parts)
+    return {HomotopyType(key): v for key, v in sorted(counts.items())}
+
+
+def test_homotopy_census_matches_brute_force():
+    for n in range(1, 10):
+        got, want = homotopy_census(n), _homotopy_census_brute(n)
+        # components too: HomotopyType equality is only as multisets
+        assert [(h.components, v) for h, v in got.items()] == [
+            (h.components, v) for h, v in want.items()], n
+
+
+def test_homotopy_common_cut_lemma():
+    # H(T1T2/B1B2) = H(T1/B1) + H(T2/B2) at every common cut, n <= 8
+    for n in range(2, 9):
+        parts = [composition_from_bitmask(n, m).parts for m in range(1 << (n - 1))]
+        for tmask, tp in enumerate(parts):
+            for bmask, bp in enumerate(parts):
+                whole = sorted(_wind_homotopy(tp, bp))
+                common = tmask & bmask
+                while common:
+                    c = (common & -common).bit_length()  # cut after vertex c
+                    common &= common - 1
+                    t1, b1 = _split(tp, c), _split(bp, c)
+                    halves = (_wind_homotopy(tp[:t1], bp[:b1])
+                              + _wind_homotopy(tp[t1:], bp[b1:]))
+                    assert whole == sorted(halves), (tp, bp, c)
+
+
+def _split(parts, c):
+    """The number of leading parts that sum to c."""
+    total = 0
+    for i, p in enumerate(parts):
+        if total == c:
+            return i
+        total += p
+    raise AssertionError(f"no cut after {c} in {parts}")
+
+
+def test_homotopy_census_rows_are_fresh_keys_shared():
+    first, second = homotopy_census(7), homotopy_census(7)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert list(first.items()) == list(second.items())
+    key = next(iter(first))
+    first[key] += 1
+    del first[next(reversed(first))]
+    assert homotopy_census(7) == second
 
 
 def test_census_limit_default():

@@ -10,6 +10,7 @@ from seaweeds.compositions import (
     all_pairs,
     parse_seaweed_type,
 )
+from seaweeds.enumeration import homotopy_census
 from seaweeds.errors import ParseError
 from seaweeds.meander import seaweed_index
 from seaweeds.winding import (
@@ -121,6 +122,10 @@ def test_homotopy_type_multiset_equality():
     assert str(HomotopyType((1, 5, 2))) == "H(1,5,2)"  # order preserved in text
     with pytest.raises(ValueError):
         HomotopyType((0,))
+    # a component the printed form could not carry back through the parser
+    for bad in ((2.5,), (True,), (2, True), ("2",)):
+        with pytest.raises(ValueError, match="^components must be positive$"):
+            HomotopyType(bad)
 
 
 def test_homotopy_index_examples():
@@ -139,7 +144,7 @@ def test_move_validation():
     with pytest.raises(ValueError):
         Move("F", 3)  # size forbidden
     # a C size that parse_signature and HomotopyType refuse
-    for size in (0, -3, 2.0, "2"):
+    for size in (0, -3, 2.0, "2", True):
         with pytest.raises(ValueError, match="C size must be a positive integer"):
             Move("C", size)
 
@@ -164,6 +169,11 @@ def test_parse_homotopy_type():
     for bad in ("H()", "H(1,)", "H(0)", "1,2", "H(1 ,2)"):
         with pytest.raises(ParseError):
             parse_homotopy_type(bad)
+
+
+def test_homotopy_type_text_round_trip_on_census_keys():
+    for h in homotopy_census(6):
+        assert parse_homotopy_type(str(h)) == h
 
 
 def test_signature_round_trip_on_wound_types():
