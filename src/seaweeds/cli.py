@@ -10,7 +10,8 @@ Commands:
 TYPE is `a1|a2|.../b1|b2|...`, e.g. `2|4/1|2|3` (no whitespace).
 
 Exit codes: 0 success; 1 failed golden check or failed verify suite;
-2 parse/usage error; 3 enumeration or size limit exceeded; 4 I/O failure.
+2 parse/usage error; 3 enumeration or size limit exceeded; 4 I/O failure,
+a failed forked census process included (ChildProcessError is an OSError).
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import functools
 import sys
 
 from .compositions import parse_seaweed_type
-from .enumeration import (
-    build_table,
-    c22_meander_limit,
-    census_limit,
-    diff_golden,
-    load_golden,
-)
+from .enumeration import LIMITS, TABLES, build_table, diff_golden, limit, load_golden
 from .errors import LimitExceeded, ParseError, UsageError, check_limit
 # cmd_index reads the index off its component summary; seaweed_index stays
 # importable here because bench/traced.py patches the library calls the CLI
@@ -50,12 +45,12 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_IO = 4
 
-_TABLE_DEFAULT_MAX_N = {"cnk": 10, "c21": 12, "c22": 11}
-
 
 @functools.lru_cache(maxsize=1)
-def build_parser(census_max_n: int, c22_max_n: int) -> argparse.ArgumentParser:
-    """The parser whose epilog prints these two limits."""
+def build_parser(limits: tuple[int, ...]) -> argparse.ArgumentParser:
+    """The parser whose epilog prints these values of the LIMITS entries."""
+    environment = ", ".join(f"{entry.env} {entry.help} (default {value})"
+                            for entry, value in zip(LIMITS.values(), limits))
     parser = argparse.ArgumentParser(
         prog="seaweeds",
         description=(
@@ -66,10 +61,7 @@ def build_parser(census_max_n: int, c22_max_n: int) -> argparse.ArgumentParser:
         epilog=(
             "Type grammar: a composition is parts joined by '|' (e.g. 2|4); "
             "a type is top/bottom (e.g. 2|4/1|2|3). Polynomials print as "
-            "ascending powers like 6x^3-10x^4. Environment: "
-            "SEAWEEDS_CENSUS_LIMIT bounds full-pair censuses (default "
-            f"{census_max_n}), SEAWEEDS_C22_MEANDER_LIMIT bounds the "
-            f"two-over-two meander oracle (default {c22_max_n})."
+            f"ascending powers like 6x^3-10x^4. Environment: {environment}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,9 +73,10 @@ def build_parser(census_max_n: int, c22_max_n: int) -> argparse.ArgumentParser:
     p.add_argument("type")
 
     p = sub.add_parser("table", help="generate or golden-check a census table")
-    p.add_argument("kind", choices=["cnk", "c21", "c22"])
+    p.add_argument("kind", choices=list(TABLES))
+    defaults = ", ".join(f"{kind} {table.max_n}" for kind, table in TABLES.items())
     p.add_argument("--max-n", type=int, default=None,
-                   help="largest n row (defaults: cnk 10, c21 12, c22 11)")
+                   help=f"largest n row (defaults: {defaults})")
     p.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p.add_argument("--oracle", choices=["gcd", "meander"], default="gcd",
                    help="index oracle for c22 tables")
@@ -133,7 +126,7 @@ def cmd_wind(args) -> int:
 
 
 def cmd_table(args) -> int:
-    max_n = args.max_n if args.max_n is not None else _TABLE_DEFAULT_MAX_N[args.kind]
+    max_n = args.max_n if args.max_n is not None else TABLES[args.kind].max_n
     table = build_table(args.kind, max_n, oracle=args.oracle, workers=args.workers)
     if args.check_golden:
         golden = load_golden(args.kind)
@@ -177,9 +170,9 @@ def main(argv=None) -> int:
     }
     try:
         # Building the parser costs more than answering an index query, so
-        # it is built once per pair of limits.  The limits are read (and a
+        # it is built once per tuple of limits.  The limits are read (and a
         # bad one rejected) on every call, so --help shows the current ones.
-        args = build_parser(census_limit(), c22_meander_limit()).parse_args(argv)
+        args = build_parser(tuple(map(limit, LIMITS))).parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

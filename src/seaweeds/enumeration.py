@@ -97,12 +97,12 @@ concatenation and multiplies their counts.  The keys are dict keys, not
 packed fields, so the product is its own loop.  A step of n costs ~3x, not
 the 4x of winding every pair.
 
-Limits guard the 3x- to 4x-per-step cost of the exhaustive paths and can
-be overridden by environment variables (see DEFAULT_CENSUS_LIMIT /
-DEFAULT_C22_MEANDER_LIMIT); census_cnk keeps the same limit, and
-_check_census_limit is the one guard of every full-pair census.  Tables of
-c21 and c22 stop at n = GCD_TABLE_MAX_N.  Every limit is refused by
-errors.check_limit.
+Limits guard the 3x- to 4x-per-step cost of the exhaustive paths.  Each one
+a variable overrides is an entry of LIMITS, read by limit(name) and refused
+by _check_limit(name, n); _check_census_limit is the one guard of every
+full-pair census.  Tables of c21 and c22 stop at n = GCD_TABLE_MAX_N.  Every
+limit is refused by errors.check_limit.  Each table kind is an entry of
+TABLES, and the CLI's --help lists both.
 """
 
 from __future__ import annotations
@@ -118,18 +118,14 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from itertools import repeat
-from math import gcd
-from typing import NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 from .compositions import all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
+from .formulas import gcd_index_2parts, gcd_index_3parts
 from .meander import _block_edges, _joins, _partners, seaweed_index
 from .winding import HomotopyType, _move_table, _wind_homotopy, _wind_tally
 
-CENSUS_LIMIT_ENV = "SEAWEEDS_CENSUS_LIMIT"
-DEFAULT_CENSUS_LIMIT = 14
-C22_MEANDER_LIMIT_ENV = "SEAWEEDS_C22_MEANDER_LIMIT"
-DEFAULT_C22_MEANDER_LIMIT = 50
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
 GCD_TABLE_MAX_N = 300
@@ -142,32 +138,42 @@ GCD_TABLE_MAX_N = 300
 _TOP_COST = 32
 
 
-def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
+class Limit(NamedTuple):
+    """A limit an environment variable overrides, as --help lists it."""
+
+    env: str
+    default: int
+    help: str  # what it bounds, as --help says it
+    subject: str  # what its refusal names
+
+
+LIMITS = {
+    "census": Limit(
+        "SEAWEEDS_CENSUS_LIMIT", 14, "bounds full-pair censuses", "census at"),
+    "c22_meander": Limit(
+        "SEAWEEDS_C22_MEANDER_LIMIT", 50, "bounds the two-over-two meander oracle",
+        "c22 meander oracle at"),
+}
+
+
+def limit(name: str) -> int:
+    """The current value of LIMITS[name]: its variable if set, else its default."""
+    entry = LIMITS[name]
     try:
-        return int(text)
+        return int(os.environ.get(entry.env, entry.default))
     except ValueError:
-        raise UsageError(f"{name} must be an integer, got {text!r}") from None
+        text = os.environ[entry.env]
+        raise UsageError(f"{entry.env} must be an integer, got {text!r}") from None
 
 
-def census_limit() -> int:
-    return _env_int(CENSUS_LIMIT_ENV, DEFAULT_CENSUS_LIMIT)
-
-
-def c22_meander_limit() -> int:
-    return _env_int(C22_MEANDER_LIMIT_ENV, DEFAULT_C22_MEANDER_LIMIT)
+def _check_limit(name: str, n: int) -> None:
+    check_limit(LIMITS[name].subject, n, limit(name), LIMITS[name].env)
 
 
 def _check_census_limit(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_limit("census at", n, census_limit(), CENSUS_LIMIT_ENV)
-
-
-def _check_c22_meander_limit(n: int) -> None:
-    check_limit("c22 meander oracle at", n, c22_meander_limit(), C22_MEANDER_LIMIT_ENV)
+    _check_limit("census", n)
 
 
 def _check_workers(workers: int) -> None:
@@ -445,28 +451,24 @@ def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     procs = min(workers, cpus, half)
-    if procs <= 1:
-        irreducible = _census_rows(n, 0, half)
-    else:
-        # a canonical top mask with j cuts runs _graph_sums on 2^(n-1-j)
-        # irreducible bottoms of size n, after a set-up of _TOP_COST, any
-        # other top on none: cut where that weight reaches each 1/procs
-        mirror = _mirrors(n - 1)
-        weights = [(1 << (n - 1 - tmask.bit_count())) + _TOP_COST
-                   if tmask <= mirror[tmask] else 0 for tmask in range(half)]
-        total = sum(weights)
-        cuts, acc = [0], 0
-        for tmask, weight in enumerate(weights):
-            acc += weight
-            while len(cuts) < procs and acc * procs >= total * len(cuts):
-                cuts.append(tmask + 1)
-        jobs = [(n, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], half])]
-        # filled here, the tables of every size are inherited by each child
-        # and stay for the next call
-        for m in range(1, n + 1):
-            _bottom_blocks(m)
-        irreducible = list(map(sum, zip(*_forked(_census_rows, jobs))))
-    return _compose(n, irreducible)
+    # a canonical top mask with j cuts runs _graph_sums on 2^(n-1-j)
+    # irreducible bottoms of size n, after a set-up of _TOP_COST, any other
+    # top on none: cut where that weight reaches each 1/procs
+    mirror = _mirrors(n - 1)
+    weights = [(1 << (n - 1 - tmask.bit_count())) + _TOP_COST
+               if tmask <= mirror[tmask] else 0 for tmask in range(half)]
+    total = sum(weights)
+    cuts, acc = [0], 0
+    for tmask, weight in enumerate(weights):
+        acc += weight
+        while len(cuts) < procs and acc * procs >= total * len(cuts):
+            cuts.append(tmask + 1)
+    jobs = [(n, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], half])]
+    # filled here, the tables of every size are inherited by each child and
+    # stay for the next call
+    for m in range(1, n + 1):
+        _bottom_blocks(m)
+    return _compose(n, list(map(sum, zip(*_forked(_census_rows, jobs)))))
 
 
 def _forked(fn, jobs: list[tuple]) -> list:
@@ -560,27 +562,27 @@ def census_cnk_naive(n: int) -> dict[int, int]:
 
 
 def census_c21(n: int) -> dict[int, int]:
-    """Tally of gcd(a, n) - 1 over a in [1, n-1] (two parts over one part)."""
+    """Tally of formulas.gcd_index_2parts(a, n-a) (a|n-a over n), a in [1, n-1]."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return Counter(gcd(a, n) - 1 for a in range(1, n))
+    return Counter(gcd_index_2parts(a, n - a) for a in range(1, n))
 
 
 def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
     """Tally over all (n-1)^2 pairs (a|n-a, c|n-c) of the seaweed index.
 
-    oracle "gcd" uses index = gcd(n, n-a+c) - 1; oracle "meander" builds the
-    arcs of the n-1 compositions once and joins them by meander._joins under
-    each top, seeded once (bounded, see DEFAULT_C22_MEANDER_LIMIT).
+    oracle "gcd" uses formulas.gcd_index_3parts(a, n-a, c); oracle "meander"
+    builds the arcs of the n-1 compositions once and joins them by
+    meander._joins under each top, seeded once (bounded by LIMITS).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     firsts = range(1, n)
     if oracle == "gcd":
-        return Counter(gcd(n, n - a + c) - 1 for a in firsts for c in firsts)
+        return Counter(gcd_index_3parts(a, n - a, c) for a in firsts for c in firsts)
     if oracle != "meander":
         raise ValueError(f"unknown oracle {oracle!r}")
-    _check_c22_meander_limit(n)
+    _check_limit("c22_meander", n)
     comps = [(a, n - a) for a in firsts]
     bottoms = [_block_edges(c) for c in comps]
     return Counter(val - 1 for top in comps for _, val in _joins(top, bottoms))
@@ -639,13 +641,19 @@ def homotopy_census(n: int) -> dict[HomotopyType, int]:
 
 # --- tables and golden data --------------------------------------------------
 
-_UNIVERSE = {
-    "cnk": lambda n: 1 << (2 * (n - 1)),
-    "c21": lambda n: n - 1,
-    "c22": lambda n: (n - 1) * (n - 1),
-}
+class Table(NamedTuple):
+    """A table kind: its first row, its default last row, the pairs in row n."""
 
-_MIN_N = {"cnk": 1, "c21": 2, "c22": 2}
+    min_n: int
+    max_n: int
+    pairs: Callable[[int], int]
+
+
+TABLES = {
+    "cnk": Table(1, 10, lambda n: 1 << (2 * (n - 1))),
+    "c21": Table(2, 12, lambda n: n - 1),
+    "c22": Table(2, 11, lambda n: (n - 1) * (n - 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -656,14 +664,11 @@ class IndexTable:
     rows: dict[int, dict[int, int]]
 
     def __post_init__(self):
-        if self.kind not in _UNIVERSE:
+        if self.kind not in TABLES:
             raise ValueError(f"unknown table kind {self.kind!r}")
 
     def n_range(self) -> tuple[int, int]:
         return min(self.rows), max(self.rows)
-
-    def universe(self, n: int) -> int:
-        return _UNIVERSE[self.kind](n)
 
     def cell(self, n: int, k: int) -> int:
         return self.rows.get(n, {}).get(k, 0)
@@ -701,7 +706,7 @@ class IndexTable:
     def check_row_sums(self) -> None:
         for n, row in self.rows.items():
             got = sum(row.values())
-            want = self.universe(n)
+            want = TABLES[self.kind].pairs(n)
             if got != want:
                 raise AssertionError(f"row {n} sums to {got}, expected {want}")
 
@@ -725,7 +730,7 @@ def table_from_csv(kind: str, text: str) -> IndexTable:
 def build_table(
     kind: str, max_n: int, oracle: str = "gcd", workers: int = 1
 ) -> IndexTable:
-    min_n = _MIN_N[kind]
+    min_n = TABLES[kind].min_n
     if max_n < min_n:
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
     _check_workers(workers)
@@ -733,7 +738,7 @@ def build_table(
         return IndexTable(kind, _cnk_rows(max_n, workers))
     # fail fast before any row is computed
     if kind == "c22" and oracle == "meander":
-        _check_c22_meander_limit(max_n)
+        _check_limit("c22_meander", max_n)
     check_limit(f"table {kind} to", max_n, GCD_TABLE_MAX_N)
     rows = {n: census_c21(n) if kind == "c21" else census_c22(n, oracle=oracle)
             for n in range(min_n, max_n + 1)}

@@ -87,9 +87,37 @@ def test_parser_built_once_per_limits(capsys, monkeypatch):
         assert exc.value.code == 0
         return " ".join(capsys.readouterr().out.split())
 
-    assert f"default {enumeration.DEFAULT_CENSUS_LIMIT})" in help_text()
+    assert f"default {enumeration.LIMITS['census'].default})" in help_text()
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "9")
     assert "default 9)" in help_text()
+
+
+@pytest.mark.parametrize("census, c22", [(None, None), ("9", "7")])
+def test_help_lists_the_limits_and_table_kinds(capsys, monkeypatch, census, c22):
+    # the environment sentence and the --max-n help are joined from
+    # enumeration.LIMITS and enumeration.TABLES; argparse wraps them
+    # differently across versions, so whitespace is normalised
+    for var, value in (("SEAWEEDS_CENSUS_LIMIT", census),
+                       ("SEAWEEDS_C22_MEANDER_LIMIT", c22)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    text = help_text()
+    assert text[text.index("Environment:"):] == (
+        f"Environment: SEAWEEDS_CENSUS_LIMIT bounds full-pair censuses "
+        f"(default {census or 14}), SEAWEEDS_C22_MEANDER_LIMIT bounds the "
+        f"two-over-two meander oracle (default {c22 or 50}).")
+    text = help_text("table")
+    assert "--max-n MAX_N largest n row (defaults: cnk 10, c21 12, c22 11) " in text
+    assert "positional arguments: {cnk,c21,c22} " in text
 
 
 def test_index_walks_the_meander_once(capsys, monkeypatch):
@@ -250,6 +278,26 @@ def test_verify_winding_reports_a_same_composition_fault(capsys, monkeypatch):
                 if "same-composition homotopy" in line)
     assert line.startswith("[FAIL] same-composition homotopy (")
     assert line.endswith("): p/p gave (3,) for parts (2, 1)")
+
+
+def test_table_census_process_failure_exits_4(capsys, monkeypatch):
+    # a census child that fails is a ChildProcessError, an OSError: exit 4,
+    # nothing on stdout, and every child reaped
+    census_rows = enumeration._census_rows
+
+    def rows(n, tstart, tstop):
+        if tstart:  # the child's range; the caller runs the one at top 0
+            os._exit(7)
+        return census_rows(n, tstart, tstop)
+
+    monkeypatch.setattr(enumeration, "_census_rows", rows)
+    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    code, out, err = run(capsys, "table", "cnk", "--max-n", "8", "--workers", "2")
+    assert (code, out) == (4, "")
+    assert err == "error: census processes failed, exit codes [7]\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_table_output_io_error(capsys):
