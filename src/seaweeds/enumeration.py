@@ -77,25 +77,14 @@ census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families.  Results are sparse maps (zero
 counts omitted); every row C(n, .), either way, is decoded by _unpack_row.
 
-homotopy_census composes at common cuts too.  If top and bottom both cut
-after vertex c, the homotopy type is the multiset union
-
-    H(T1T2/B1B2) = H(T1/B1) + H(T2/B2).
-
-Every move other than F reads and rewrites only the leading parts, and takes
-the same d vertices off the front of both sides (winding._move), so the
-common cut stays common: the first factor winds down as T1/B1 alone would,
-until a C empties it and leaves the second.  An F swaps T2 and B2 along
-with the first factor, which leaves B2/T2 in place of T2/B2; but H(t/b) =
-H(b/t) (induction on n: if the leading parts differ, one of the two pairs
-is the other after an F; if they are equal, both record the same C and
-leave swapped rests).  So _irreducible_homotopy winds only the 3^(m-1)
-irreducible pairs of each size m <= n into g_m, a tally of sorted C-tuples,
-and homotopy_census composes them like _compose: F_0 = {(): 1}, F_size =
-sum over m of g_m (x) F_(size-m), where (x) joins two keys by sorted
-concatenation and multiplies their counts.  The keys are dict keys, not
-packed fields, so the product is its own loop.  A step of n costs ~3x, not
-the 4x of winding every pair.
+homotopy_census(n) runs the same recurrence on homotopy types
+(winding._wind_types): the same states, moves and memo keys, but a tally is
+a dict from sorted C-tuple to count, not a packed int, and the C-values
+recorded along a run of forced moves are merged into each key of the branch
+state's tally on return.  The memo of row n holds every row m <= n at
+(m, ()), 97 entries at n = 8, and a step of n costs ~2x.  Types also add at
+common cuts, H(T1T2/B1B2) = H(T1/B1) + H(T2/B2), as
+test_homotopy_common_cut_lemma checks; the recurrence does not rest on it.
 
 Limits guard the 3x- to 4x-per-step cost of the exhaustive paths.  Each one
 a variable overrides is an entry of LIMITS, read by limit(name) and refused
@@ -117,14 +106,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from itertools import repeat
 from typing import Callable, NamedTuple, NoReturn
 
 from .compositions import all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
 from .formulas import gcd_index_2parts, gcd_index_3parts
 from .meander import _block_edges, _joins, _partners, seaweed_index
-from .winding import HomotopyType, _move_table, _wind_homotopy, _wind_tally
+from .winding import HomotopyType, _move_table, _wind_tally, _wind_types
 
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
@@ -601,42 +589,27 @@ def _homotopy_type(key: tuple[int, ...]) -> HomotopyType:
     return HomotopyType(key)
 
 
-def _irreducible_homotopy(m: int) -> Counter:
-    """Tally of sorted C-tuples over the 3^(m-1) irreducible pairs of size
-    m: the bottoms of top mask t are the submasks of the cuts t lacks."""
-    full = (1 << (m - 1)) - 1
-    parts = [composition_from_bitmask(m, t).parts for t in range(full + 1)]
-    wound = Counter()
-    for t, top in enumerate(parts):
-        bottoms, free = [0], full ^ t
-        while free:
-            bit = free & -free
-            free ^= bit
-            bottoms += [b | bit for b in bottoms]
-        wound.update(map(_wind_homotopy, repeat(top), [parts[b] for b in bottoms]))
-    g = Counter()
-    for comps, count in wound.items():  # one key a multiset: fewer to join
-        g[tuple(sorted(comps))] += count
-    return g
+@cache
+def _count(v: int) -> int:
+    """The one int object of count v, shared by every row as the keys are.
+
+    Counts past 256 are fresh 32-byte ints otherwise, 10 of the 58 of n = 8:
+    a kept row then holds ~2.6 KB, ~2.3 KB with shared counts (tracemalloc),
+    and the `homotopy` benchmark keeps every row it computes.
+    """
+    return v
 
 
 def homotopy_census(n: int) -> dict[HomotopyType, int]:
     """Tally of canonical homotopy types over all 4^(n-1) pairs, in order of
-    canonical tuple, composed at common cuts from the irreducible pairs'
-    tallies (module docstring).  Each call builds a new dict; its keys are
-    the shared _homotopy_type objects.
+    canonical tuple, by the winding recurrence (winding._wind_types), whose
+    memo lives only for this call.  Each call builds a new dict; its keys and
+    counts are the shared _homotopy_type and _count objects.
     """
     _check_census_limit(n)
-    g = [None] + [_irreducible_homotopy(m) for m in range(1, n + 1)]
-    F = [{(): 1}]
-    for size in range(1, n + 1):
-        row = Counter()
-        for m in range(1, size + 1):
-            for head, c in g[m].items():
-                for tail, d in F[size - m].items():
-                    row[tuple(sorted(head + tail))] += c * d
-        F.append(row)
-    return {_homotopy_type(key): v for key, v in sorted(F[n].items())}
+    memo = {}
+    _wind_types(n, (), (), memo, _move_table(n, 1))
+    return {_homotopy_type(key): _count(v) for key, v in sorted(memo[n, ()].items())}
 
 
 # --- tables and golden data --------------------------------------------------

@@ -27,7 +27,8 @@ The rule of C, R, B and P is written once, in _move(a, b): each takes the
 same d vertices off the front of both sides (C: a, R: a-b, B and P: b) and
 puts heads in place of a and b; F is the swap in each caller.  wind_step
 builds its objects from it.  _wind_tally, which counts the index over all
-pairs at once on fixed prefixes, reads it from a table built once a census.
+pairs at once on fixed prefixes, and _wind_types, which counts the homotopy
+types the same way, read it from a table built once a census.
 verify's winding certificate reads _move too: for each move of leading parts
 b <= a it compares the graph's boundary state of the prefix a/b with that of
 the heads, which proves the winding index equals the graph index for every
@@ -148,7 +149,7 @@ def wind_down(t: SeaweedType) -> tuple[Signature, HomotopyType]:
 
 def homotopy_components(t: SeaweedType) -> tuple[int, ...]:
     """Recorded C-values only, via the deque kernel (no object churn).  No
-    census calls it: homotopy_census winds parts with _wind_homotopy."""
+    census calls it: homotopy_census runs the recurrence _wind_types."""
     return _wind_homotopy(t.top.parts, t.bottom.parts)
 
 
@@ -156,10 +157,11 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     """Recorded C-values of top/bottom; each Move is appended to `moves` when
     a list is given.
 
-    The one copy of _move's rule, inline on purpose: a _move call a move
-    took homotopy_census(8), which winds the 3280 irreducible pairs of sizes
-    m <= 8, from 9.5 to 17-19 ms (medians of 31 alternating calls, 2-vCPU
-    x86, CPython 3.11), and parts up to MAX_TYPE_N rule out a table.
+    The one copy of _move's rule, inline on purpose, for the `wind` query
+    path: a kernel that calls _move a move took ~1.9-2.0x this one's time
+    with moves recorded, and a block of the `queries` benchmark (seed 1)
+    22-36% longer (medians of 5 and 7 alternating runs, 2-vCPU x86, CPython
+    3.11).  Parts up to MAX_TYPE_N rule out a table.
     """
     dt, db = deque(top), deque(bottom)
     out = []
@@ -193,7 +195,8 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
 
 def _move_table(n: int, w: int) -> list:
     """mv[a][b], 1 <= b <= a <= n: _move(a, b) as _wind_tally reads it,
-    (d, top head, bottom head, shift), C's shift d*w and the others' 0."""
+    (d, top head, bottom head, shift), C's shift d*w and the others' 0.
+    With w = 1, _wind_types reads C's shift as the value it records."""
     return [[None] + [(d, th, bh, d * w if tag == "C" else 0)
                       for tag, d, th, bh in (_move(a, b) for b in range(1, a + 1))]
             for a in range(n + 1)]
@@ -236,6 +239,45 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
             got += _wind_tally(m, (a,), bottom, memo, mv)
         memo[key] = got
     return got << shift
+
+
+def _wind_types(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
+                memo: dict, mv: list) -> dict[tuple[int, ...], int]:
+    """Tally of sorted C-tuples (homotopy types) over the same pairs as
+    _wind_tally: compositions of m whose top begins with `top` and whose
+    bottom with `bottom`.
+
+    The same forced moves in a loop, read from mv = _move_table(n, 1), whose
+    4th field is d for C and 0 otherwise; along them the recorded C-values
+    collect in `rec`.  Only branch states are memoized, keyed (m, bottom);
+    on return `rec` is merged into each key of the branch's tally.  The same
+    multiset added to distinct multisets keeps them distinct, so no two keys
+    merge.  The returned dict may be a memo entry: callers do not write it.
+    """
+    rec = ()
+    while True:
+        if top and (not bottom or top[0] < bottom[0]):  # F
+            top, bottom = bottom, top
+        if not m:
+            return {tuple(sorted(rec)): 1}
+        if not top:
+            break
+        d, th, bh, c = mv[top[0]][bottom[0]]
+        m -= d
+        if c:
+            rec += (c,)
+        top, bottom = th + top[1:], bh + bottom[1:]
+    key = (m, bottom)
+    got = memo.get(key)
+    if got is None:
+        got = {}
+        for a in range(1, m + 1):
+            for k, v in _wind_types(m, (a,), bottom, memo, mv).items():
+                got[k] = got.get(k, 0) + v
+        memo[key] = got
+    if not rec:
+        return got
+    return {tuple(sorted(rec + k)): v for k, v in got.items()}
 
 
 def homotopy_index(h: HomotopyType) -> int:

@@ -34,7 +34,13 @@ from seaweeds.meander import (
     component_summary,
     seaweed_index,
 )
-from seaweeds.winding import HomotopyType, _wind_homotopy, homotopy_index
+from seaweeds.winding import (
+    HomotopyType,
+    _move_table,
+    _wind_homotopy,
+    _wind_types,
+    homotopy_index,
+)
 
 
 def test_census_small_rows():
@@ -493,7 +499,7 @@ def test_homotopy_census_small():
 
 
 def test_homotopy_census_collapses_to_index_census():
-    for n in range(1, 7):
+    for n in range(1, 13):
         hc = homotopy_census(n)
         assert sum(hc.values()) == 4 ** (n - 1)
         by_index: dict[int, int] = {}
@@ -517,6 +523,15 @@ def test_homotopy_census_matches_brute_force():
         # components too: HomotopyType equality is only as multisets
         assert [(h.components, v) for h, v in got.items()] == [
             (h.components, v) for h, v in want.items()], n
+
+
+def test_homotopy_memo_holds_every_smaller_row():
+    # one recurrence memo of n = 9 holds the row of every m <= 9 at (m, ())
+    memo = {}
+    _wind_types(9, (), (), memo, _move_table(9, 1))
+    for m in range(1, 10):
+        assert memo[m, ()] == {h.components: v
+                               for h, v in homotopy_census(m).items()}, m
 
 
 def test_homotopy_common_cut_lemma():
@@ -550,6 +565,7 @@ def test_homotopy_census_rows_are_fresh_keys_shared():
     first, second = homotopy_census(7), homotopy_census(7)
     assert first is not second
     assert all(a is b for a, b in zip(first, second))
+    assert all(a is b for a, b in zip(first.values(), second.values()))
     assert list(first.items()) == list(second.items())
     key = next(iter(first))
     first[key] += 1
@@ -584,7 +600,7 @@ def test_census_guard(monkeypatch, census):
         raise AssertionError("a pair was computed")
 
     for name in ("_wind_tally", "_graph_sums", "seaweed_index",
-                 "_wind_homotopy", "_side_moves"):
+                 "_wind_types", "_side_moves"):
         monkeypatch.setattr(enumeration, name, no_pairs)
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
         census(0)

@@ -21,6 +21,7 @@ from seaweeds.winding import (
     _move_table,
     _wind_homotopy,
     _wind_tally,
+    _wind_types,
     format_signature,
     homotopy_components,
     homotopy_index,
@@ -273,6 +274,10 @@ def test_recurrence_memoizes_only_branch_states():
     assert len(memo) == 875
     assert all(len(key) == 2 and isinstance(key[0], int)
                and isinstance(key[1], tuple) for key in memo)
+    # the homotopy recurrence branches at the same states
+    types = {}
+    _wind_types(14, (), (), types, _move_table(14, 1))
+    assert types.keys() == memo.keys()
 
 
 def _random_composition(rng, n, mean):
