@@ -79,12 +79,16 @@ counts omitted); every row C(n, .), either way, is decoded by _unpack_row.
 
 homotopy_census(n) runs the same recurrence on homotopy types
 (winding._wind_types): the same states, moves and memo keys, but a tally is
-a dict from sorted C-tuple to count, not a packed int, and the C-values
-recorded along a run of forced moves are merged into each key of the branch
-state's tally on return.  The memo of row n holds every row m <= n at
-(m, ()), 97 entries at n = 8, and a step of n costs ~2x.  Types also add at
-common cuts, H(T1T2/B1B2) = H(T1/B1) + H(T2/B2), as
-test_homotopy_common_cut_lemma checks; the recurrence does not rest on it.
+a dict from type key to count, not a packed int.  A type key is an int that
+adds as multisets unite, one b-bit digit a C size (winding._type_key, b =
+n.bit_length()), so a run of forced moves sums its C-values into one int
+and the caller adds it to each key of the branch state's tally as it
+merges: nothing is sorted inside the recurrence.  The row's few dozen keys
+are decoded once, at the end, through a cache (_keyed_type).  The memo of
+row n holds every row m <= n at (m, ()), 97 entries at n = 8, and a step of
+n costs ~1.8x.  Types also add at common cuts, H(T1T2/B1B2) = H(T1/B1) +
+H(T2/B2), as test_homotopy_common_cut_lemma checks; the recurrence does not
+rest on it.
 
 Limits guard the 3x- to 4x-per-step cost of the exhaustive paths.  Each one
 a variable overrides is an entry of LIMITS, read by limit(name) and refused
@@ -112,7 +116,8 @@ from .compositions import all_pairs, composition_from_bitmask
 from .errors import UsageError, check_limit
 from .formulas import gcd_index_2parts, gcd_index_3parts
 from .meander import _block_edges, _joins, _partners, seaweed_index
-from .winding import HomotopyType, _move_table, _wind_tally, _wind_types
+from .winding import (HomotopyType, _key_components, _move_table, _wind_tally,
+                      _wind_types)
 
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
@@ -304,7 +309,7 @@ def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
     n holds the branch state (m, ()) of every m <= n."""
     _check_census_limit(n)
     memo = {}
-    _wind_tally(n, (), (), memo, _move_table(n, 2 * n))
+    _wind_tally(n, (), (), memo, _move_table(n, 2 * n, False))
     return {m: _unpack_row(memo[m, ()], 2 * n) for m in range(1, n + 1)}
 
 
@@ -600,6 +605,13 @@ def _count(v: int) -> int:
     return v
 
 
+@cache
+def _keyed_type(key: int, b: int) -> HomotopyType:
+    """The shared _homotopy_type of a type key with b-bit digits
+    (winding._type_key): a row decodes each of its keys once a process."""
+    return _homotopy_type(_key_components(key, b))
+
+
 def homotopy_census(n: int) -> dict[HomotopyType, int]:
     """Tally of canonical homotopy types over all 4^(n-1) pairs, in order of
     canonical tuple, by the winding recurrence (winding._wind_types), whose
@@ -607,9 +619,11 @@ def homotopy_census(n: int) -> dict[HomotopyType, int]:
     counts are the shared _homotopy_type and _count objects.
     """
     _check_census_limit(n)
-    memo = {}
-    _wind_types(n, (), (), memo, _move_table(n, 1))
-    return {_homotopy_type(key): _count(v) for key, v in sorted(memo[n, ()].items())}
+    b = n.bit_length()
+    _, tally = _wind_types(n, (), (), {}, _move_table(n, b, True))
+    row = sorted(((_keyed_type(key, b), v) for key, v in tally.items()),
+                 key=lambda hv: hv[0].canonical())
+    return {h: _count(v) for h, v in row}
 
 
 # --- tables and golden data --------------------------------------------------

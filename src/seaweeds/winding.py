@@ -28,7 +28,10 @@ same d vertices off the front of both sides (C: a, R: a-b, B and P: b) and
 puts heads in place of a and b; F is the swap in each caller.  wind_step
 builds its objects from it.  _wind_tally, which counts the index over all
 pairs at once on fixed prefixes, and _wind_types, which counts the homotopy
-types the same way, read it from a table built once a census.
+types the same way, read it from a table (_move_table) built once a process;
+the two tables differ only in what C adds to the run's accumulator: a shift
+of the packed tally of sums, or the additive key of C's size (_type_key), so
+a run of forced moves sums its C-values into one int in both.
 verify's winding certificate reads _move too: for each move of leading parts
 b <= a it compares the graph's boundary state of the prefix a/b with that of
 the heads, which proves the winding index equals the graph index for every
@@ -42,7 +45,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 
 from .compositions import Composition, SeaweedType
 from .errors import ParseError, read_int
@@ -85,22 +89,24 @@ class HomotopyType:
     """Recorded C-values in elimination order; equality is as multisets."""
 
     components: tuple[int, ...]
+    _canonical: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.components:
             if type(c) is not int or c < 1:
                 raise ValueError("components must be positive")
+        object.__setattr__(self, "_canonical", tuple(sorted(self.components)))
 
     def canonical(self) -> tuple[int, ...]:
-        return tuple(sorted(self.components))
+        return self._canonical
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomotopyType):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self._canonical == other._canonical
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self._canonical)
 
     def __str__(self) -> str:
         return "H(" + ",".join(str(c) for c in self.components) + ")"
@@ -193,17 +199,45 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _move_table(n: int, w: int) -> list:
-    """mv[a][b], 1 <= b <= a <= n: _move(a, b) as _wind_tally reads it,
-    (d, top head, bottom head, shift), C's shift d*w and the others' 0.
-    With w = 1, _wind_types reads C's shift as the value it records."""
-    return [[None] + [(d, th, bh, d * w if tag == "C" else 0)
-                      for tag, d, th, bh in (_move(a, b) for b in range(1, a + 1))]
-            for a in range(n + 1)]
+def _type_key(components, b: int) -> int:
+    """The additive key of a multiset of C-values: digit c - 1, b bits wide,
+    counts the c among them.  No digit carries while each count is below
+    2^b, so with b = n.bit_length() the keys of multisets of sum <= n add as
+    the multisets unite: a value c occurs at most n/c < 2^b times."""
+    return sum(1 << b * (c - 1) for c in components)
+
+
+def _key_components(key: int, b: int) -> tuple[int, ...]:
+    """The sorted C-values of a type key: _type_key's inverse."""
+    out, mask, c = [], (1 << b) - 1, 1
+    while key:
+        out += [c] * (key & mask)
+        key >>= b
+        c += 1
+    return tuple(out)
+
+
+@cache
+def _move_table(n: int, w: int, types: bool) -> tuple:
+    """mv[a][b], 1 <= b <= a <= n: _move(a, b) as the census recurrences read
+    it, (d, top head, bottom head, c), c = 0 but for C.  For _wind_tally
+    (types false) C's c is d*w, the shift of a packed tally of sums; for
+    _wind_types (types true) it is _type_key((d,), w), the type key of C(d).
+    Built once a process for each argument tuple, and tuples throughout, so
+    no caller can write a shared table.
+    """
+    def entry(a, b):
+        tag, d, th, bh = _move(a, b)
+        if tag != "C":
+            return d, th, bh, 0
+        return d, th, bh, _type_key((d,), w) if types else d * w
+
+    return tuple((None,) + tuple(entry(a, b) for b in range(1, a + 1))
+                 for a in range(n + 1))
 
 
 def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
-                memo: dict, mv: list) -> int:
+                memo: dict, mv: tuple) -> int:
     """Packed tally of sum(C-values) over all pairs of compositions of m
     whose top begins with the parts `top` and whose bottom with `bottom`.
 
@@ -213,11 +247,11 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
     free.  While both prefixes are non-empty the move their leading parts
     select rewrites only the prefixes and every pair sharing them moves
     alike, so the moves are followed in a loop, read from mv =
-    _move_table(n, w): C(a) adds a to every sum (a shift by a*w).  The loop
-    stops at a branch state, an empty top prefix after F, which adds up its
-    next part's m choices.  Only branch states are memoized, keyed (m,
-    bottom) in `memo`; the caller owns it and mv, one w for both, and drops
-    them.
+    _move_table(n, w, False): C(a) adds a to every sum (a shift by a*w).
+    The loop stops at a branch state, an empty top prefix after F, which
+    adds up its next part's m choices.  Only branch states are memoized,
+    keyed (m, bottom) in `memo`; the caller owns it, with the same w as mv,
+    and drops it.
     """
     shift = 0
     while True:
@@ -241,43 +275,48 @@ def _wind_tally(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
     return got << shift
 
 
-def _wind_types(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
-                memo: dict, mv: list) -> dict[tuple[int, ...], int]:
-    """Tally of sorted C-tuples (homotopy types) over the same pairs as
-    _wind_tally: compositions of m whose top begins with `top` and whose
-    bottom with `bottom`.
+_EMPTY_TYPE = {0: 1}  # the tally of the one pair of m = 0, read only
 
-    The same forced moves in a loop, read from mv = _move_table(n, 1), whose
-    4th field is d for C and 0 otherwise; along them the recorded C-values
-    collect in `rec`.  Only branch states are memoized, keyed (m, bottom);
-    on return `rec` is merged into each key of the branch's tally.  The same
-    multiset added to distinct multisets keeps them distinct, so no two keys
-    merge.  The returned dict may be a memo entry: callers do not write it.
+
+def _wind_types(m: int, top: tuple[int, ...], bottom: tuple[int, ...],
+                memo: dict, mv: tuple) -> tuple[int, dict[int, int]]:
+    """Tally of homotopy types over the same pairs as _wind_tally:
+    compositions of m whose top begins with `top` and whose bottom with
+    `bottom`.  Returns (rec, tally): every type of the pairs is rec + a key
+    of the tally, with its count.
+
+    Types are additive keys (_type_key, b = n.bit_length() bits a digit), so
+    the same forced moves run in a loop, read from mv = _move_table(n, b,
+    True), and the C-values they record sum into `rec` as C(d) adds d's
+    digit.  Only branch states are memoized, keyed (m, bottom), and the
+    branch's tally is returned unshifted: the caller adds `rec` to each key
+    as it merges.  The same multiset added to distinct multisets keeps them
+    distinct, so no two keys merge.  The returned dict may be a memo entry or
+    shared: callers do not write it.
     """
-    rec = ()
+    rec = 0
     while True:
         if top and (not bottom or top[0] < bottom[0]):  # F
             top, bottom = bottom, top
         if not m:
-            return {tuple(sorted(rec)): 1}
+            return rec, _EMPTY_TYPE
         if not top:
             break
         d, th, bh, c = mv[top[0]][bottom[0]]
         m -= d
-        if c:
-            rec += (c,)
+        rec += c
         top, bottom = th + top[1:], bh + bottom[1:]
     key = (m, bottom)
     got = memo.get(key)
     if got is None:
         got = {}
         for a in range(1, m + 1):
-            for k, v in _wind_types(m, (a,), bottom, memo, mv).items():
+            r, tally = _wind_types(m, (a,), bottom, memo, mv)
+            for k, v in tally.items():
+                k += r
                 got[k] = got.get(k, 0) + v
         memo[key] = got
-    if not rec:
-        return got
-    return {tuple(sorted(rec + k)): v for k, v in got.items()}
+    return rec, got
 
 
 def homotopy_index(h: HomotopyType) -> int:

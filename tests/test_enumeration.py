@@ -36,6 +36,7 @@ from seaweeds.meander import (
 )
 from seaweeds.winding import (
     HomotopyType,
+    _key_components,
     _move_table,
     _wind_homotopy,
     _wind_types,
@@ -526,12 +527,15 @@ def test_homotopy_census_matches_brute_force():
 
 
 def test_homotopy_memo_holds_every_smaller_row():
-    # one recurrence memo of n = 9 holds the row of every m <= 9 at (m, ())
+    # one recurrence memo of n = 9 holds the row of every m <= 9 at (m, ()),
+    # its keys the additive type keys of 9.bit_length() = 4 bits a digit
     memo = {}
-    _wind_types(9, (), (), memo, _move_table(9, 1))
+    _wind_types(9, (), (), memo, _move_table(9, 4, True))
     for m in range(1, 10):
-        assert memo[m, ()] == {h.components: v
-                               for h, v in homotopy_census(m).items()}, m
+        row = homotopy_census(m)
+        assert len(memo[m, ()]) == len(row), m
+        assert {_key_components(k, 4): v for k, v in memo[m, ()].items()} == {
+            h.components: v for h, v in row.items()}, m
 
 
 def test_homotopy_common_cut_lemma():

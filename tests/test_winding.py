@@ -17,8 +17,10 @@ from seaweeds.winding import (
     HomotopyType,
     Move,
     Signature,
+    _key_components,
     _move,
     _move_table,
+    _type_key,
     _wind_homotopy,
     _wind_tally,
     _wind_types,
@@ -57,8 +59,9 @@ def test_wind_step_examples():
 def test_wind_step_guards_cover_all_head_pairs():
     # the move is a total function of (a1, b1): exactly one guard fires, and
     # _move, the census table, wind_step and the deque kernel's first step
-    # agree on it, so the kernel's inline copy of the rule is _move's
-    mv = _move_table(24, 7)
+    # agree on it, so the kernel's inline copy of the rule is _move's; the
+    # index and type tables differ only in C's field
+    mv, kv = _move_table(24, 7, False), _move_table(24, 5, True)
     for a1 in range(1, 25):
         for b1 in range(1, 25):
             ta, tb = (b1 + 24,), (a1 + 24,)
@@ -82,6 +85,7 @@ def test_wind_step_guards_cover_all_head_pairs():
                     want = "P"
                 assert move.tag == tag == want
                 assert mv[a1][b1] == (d, th, bh, 7 * d if tag == "C" else 0)
+                assert kv[a1][b1] == (d, th, bh, 1 << 5 * (d - 1) if tag == "C" else 0)
                 assert move == (Move("C", d) if tag == "C" else Move(tag))
                 assert (nxt.top.parts, nxt.bottom.parts) == (th + ta, bh + tb)
                 assert sum(th) == a1 - d and sum(bh) == b1 - d
@@ -121,6 +125,9 @@ def test_homotopy_type_multiset_equality():
     assert hash(HomotopyType((1, 5, 2))) == hash(HomotopyType((5, 2, 1)))
     assert HomotopyType((1, 5, 2)) != HomotopyType((1, 5))
     assert str(HomotopyType((1, 5, 2))) == "H(1,5,2)"  # order preserved in text
+    # the canonical tuple is computed once and stays out of repr
+    assert HomotopyType((1, 5, 2)).canonical() == (1, 2, 5)
+    assert repr(HomotopyType((1, 5, 2))) == "HomotopyType(components=(1, 5, 2))"
     with pytest.raises(ValueError):
         HomotopyType((0,))
     # a component the printed form could not carry back through the parser
@@ -270,14 +277,46 @@ def test_recurrence_memoizes_only_branch_states():
     # moves between branch states are followed, not memoized; keying every
     # state (m, top, bottom) held 10125 entries here
     memo = {}
-    _wind_tally(14, (), (), memo, _move_table(14, 28))
+    _wind_tally(14, (), (), memo, _move_table(14, 28, False))
     assert len(memo) == 875
     assert all(len(key) == 2 and isinstance(key[0], int)
                and isinstance(key[1], tuple) for key in memo)
     # the homotopy recurrence branches at the same states
     types = {}
-    _wind_types(14, (), (), types, _move_table(14, 1))
+    _wind_types(14, (), (), types, _move_table(14, 4, True))
     assert types.keys() == memo.keys()
+
+
+def test_move_table_is_built_once_and_read_only():
+    mv = _move_table(9, 18, False)
+    assert _move_table(9, 18, False) is mv
+    assert isinstance(mv, tuple) and all(isinstance(row, tuple) for row in mv)
+
+
+def _multisets(total, largest=None):
+    # every multiset of positive ints of sum <= total, as a sorted tuple
+    largest = total if largest is None else largest
+    yield ()
+    for c in range(1, min(total, largest) + 1):
+        for rest in _multisets(total - c, c):
+            yield rest + (c,)
+
+
+def test_type_key_decodes_to_the_sorted_multiset():
+    for n in range(1, 15):
+        b = n.bit_length()
+        for ms in _multisets(n):
+            assert _key_components(_type_key(ms[::-1], b), b) == ms, (n, ms)
+
+
+def test_type_key_adds_as_multisets_unite():
+    b = (12).bit_length()
+    every = list(_multisets(12))
+    for x in every:
+        for y in every:
+            if sum(x) + sum(y) <= 12:
+                assert (_type_key(x, b) + _type_key(y, b)
+                        == _type_key(x + y, b)), (x, y)
 
 
 def _random_composition(rng, n, mean):
