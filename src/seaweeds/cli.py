@@ -21,11 +21,17 @@ import functools
 import sys
 
 from .compositions import parse_seaweed_type
-from .enumeration import LIMITS, TABLES, build_table, diff_golden, limit, load_golden
+from .declarations import LIMITS, SUITES, TABLES, limit
 from .errors import LimitExceeded, ParseError, UsageError, check_limit
-# cmd_index reads the index off its component summary; seaweed_index stays
-# importable here because bench/traced.py patches the library calls the CLI
-# resolves at this import site.
+# index, wind and render import only what they run: cmd_table imports from
+# enumeration when it runs, and verify is imported by run_suite's first
+# call, so a request compiles neither (nor formulas and genfunc, which they
+# import).  parse_seaweed_type, build_meander, component_summary,
+# seaweed_index, seaweed_dimension, seaweed_rank, wind_down,
+# format_signature and run_suite are module attributes the cmd_* functions
+# resolve when called, because bench/traced.py patches the first eight here
+# and bench/verify_child.py replaces run_suite.  cmd_index reads the index
+# off its component summary; seaweed_index stays importable for the tracer.
 from .meander import (
     MAX_RENDER_N,
     build_meander,
@@ -36,7 +42,6 @@ from .meander import (
     seaweed_index,
     seaweed_rank,
 )
-from .verify import SUITES, run_suite
 from .winding import format_signature, wind_down
 
 EXIT_OK = 0
@@ -126,6 +131,8 @@ def cmd_wind(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .enumeration import build_table, diff_golden, load_golden
+
     max_n = args.max_n if args.max_n is not None else TABLES[args.kind].max_n
     table = build_table(args.kind, max_n, oracle=args.oracle, workers=args.workers)
     if args.check_golden:
@@ -143,6 +150,13 @@ def cmd_table(args) -> int:
     rendered = {"csv": table.to_csv, "json": table.to_json, "md": table.to_markdown}
     _emit(rendered[args.format](), args.output)
     return EXIT_OK
+
+
+def run_suite(name: str):
+    """verify.run_suite(name), importing verify on the first call."""
+    from .verify import run_suite
+
+    return run_suite(name)
 
 
 def cmd_verify(args) -> int:

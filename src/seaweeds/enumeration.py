@@ -95,7 +95,9 @@ a variable overrides is an entry of LIMITS, read by limit(name) and refused
 by _check_limit(name, n); _check_census_limit is the one guard of every
 full-pair census.  Tables of c21 and c22 stop at n = GCD_TABLE_MAX_N.  Every
 limit is refused by errors.check_limit.  Each table kind is an entry of
-TABLES, and the CLI's --help lists both.
+TABLES.  LIMITS, limit and TABLES are declared in the light module
+declarations and imported here, so the CLI's --help lists both without
+importing this module.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Callable, NamedTuple, NoReturn
+from typing import NoReturn
 
 from .compositions import all_pairs, composition_from_bitmask
+from .declarations import LIMITS, TABLES, limit
 from .errors import UsageError, check_limit
 from .formulas import gcd_index_2parts, gcd_index_3parts
 from .meander import _block_edges, _joins, _partners, seaweed_index
@@ -129,34 +132,6 @@ GCD_TABLE_MAX_N = 300
 # range over the second went from 0.63, 0.71 and 0.73 at n = 10, 12 and 14
 # to 1.07, 1.00 and 0.92 with it (medians, 2-vCPU x86, CPython 3.11).
 _TOP_COST = 32
-
-
-class Limit(NamedTuple):
-    """A limit an environment variable overrides, as --help lists it."""
-
-    env: str
-    default: int
-    help: str  # what it bounds, as --help says it
-    subject: str  # what its refusal names
-
-
-LIMITS = {
-    "census": Limit(
-        "SEAWEEDS_CENSUS_LIMIT", 14, "bounds full-pair censuses", "census at"),
-    "c22_meander": Limit(
-        "SEAWEEDS_C22_MEANDER_LIMIT", 50, "bounds the two-over-two meander oracle",
-        "c22 meander oracle at"),
-}
-
-
-def limit(name: str) -> int:
-    """The current value of LIMITS[name]: its variable if set, else its default."""
-    entry = LIMITS[name]
-    try:
-        return int(os.environ.get(entry.env, entry.default))
-    except ValueError:
-        text = os.environ[entry.env]
-        raise UsageError(f"{entry.env} must be an integer, got {text!r}") from None
 
 
 def _check_limit(name: str, n: int) -> None:
@@ -627,21 +602,6 @@ def homotopy_census(n: int) -> dict[HomotopyType, int]:
 
 
 # --- tables and golden data --------------------------------------------------
-
-class Table(NamedTuple):
-    """A table kind: its first row, its default last row, the pairs in row n."""
-
-    min_n: int
-    max_n: int
-    pairs: Callable[[int], int]
-
-
-TABLES = {
-    "cnk": Table(1, 10, lambda n: 1 << (2 * (n - 1))),
-    "c21": Table(2, 12, lambda n: n - 1),
-    "c22": Table(2, 11, lambda n: (n - 1) * (n - 1)),
-}
-
 
 @dataclass(frozen=True)
 class IndexTable:

@@ -9,9 +9,11 @@ nothing, so the CLI exits 3 as for any other command.
 Most checks compare (label, want, got) triples by the one rule _mismatches:
 a check passes iff every want equals its got, and its detail is the bound
 its loop ran to (read from the constant that drives the loop), then "all
-equal" or the count and first mismatch.  SUITES is the only list of suites;
-run_suite and suite_all look `suite_<name>` up in the module's globals when
-called, so a suite replaced on the module (as a tracer does) is what runs.
+equal" or the count and first mismatch.  SUITES, the only list of suites,
+is declared in the light module declarations, so the CLI lists the suites
+without importing this one; run_suite and suite_all look `suite_<name>` up
+in the module's globals when called, so a suite replaced on the module (as
+a tracer does) is what runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
+from .declarations import SUITES
 from .enumeration import (
     _recurrence_rows,
     _transfer_rows,
@@ -58,8 +61,6 @@ from .winding import (
     homotopy_index,
     wind_down,
 )
-
-SUITES = ("formulas", "gf", "recursion", "gcd", "winding", "all")
 
 DIAG_CENSUS_MAX_N = 12
 LONGFORM_MAX_N = 25

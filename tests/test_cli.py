@@ -183,7 +183,8 @@ def test_table_check_golden_reports_a_mismatch(capsys, monkeypatch):
     # goes to stderr, the count of problems to stdout, and the exit code is 1
     golden = enumeration.load_golden("cnk")
     golden.rows[9][3] += 1
-    monkeypatch.setattr(cli, "load_golden", lambda kind: golden)
+    # cmd_table imports load_golden from enumeration when it runs
+    monkeypatch.setattr(enumeration, "load_golden", lambda kind: golden)
     code, out, err = run(capsys, "table", "cnk", "--max-n", "10", "--check-golden")
     assert code == 1
     assert err == "golden mismatch: cell (n=9, k=3): expected 17597, got 17596\n"
