@@ -10,8 +10,7 @@ Commands:
 TYPE is `a1|a2|.../b1|b2|...`, e.g. `2|4/1|2|3` (no whitespace).
 
 Exit codes: 0 success; 1 failed golden check or failed verify suite;
-2 parse/usage error; 3 enumeration or size limit exceeded; 4 I/O failure,
-a failed forked census process included (ChildProcessError is an OSError).
+2 parse/usage error; 3 enumeration or size limit exceeded; 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def build_parser(limits: tuple[int, ...]) -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["gcd", "meander"], default="gcd",
                    help="index oracle for c22 tables")
     p.add_argument("--workers", type=int, default=1,
-                   help="cnk: N > 1 runs the exhaustive meander census on up to N "
-                        "fork workers, a cross-check of the default serial recurrence")
+                   help="cnk: N > 1 cross-checks the recurrence by the transfer sweep")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--check-golden", action="store_true",
                    help="compare against the shipped reference table")

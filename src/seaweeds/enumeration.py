@@ -9,26 +9,26 @@ part are memoized: 875 memo entries at n = 14, not 4^(n-1) meander walks.
 It runs the rule verify's move certificate proves; its traversal of the
 pairs is checked row by row by the transfer sweep and the exhaustive path.
 
-_transfer_rows(n) is the row oracle of verify: one sweep over the vertices
-1..n that reads only block arcs, so it rests neither on the winding theorem
-nor on the common-cut lemma.  Each side is opening or closing and keeps a
-stack of open arc ends; each end holds the other end of its piece of the
-meander so far, another open end or dead (a vertex with no arc to come).  At
-a vertex each side opens an arc, closes the innermost one or takes none, and
-the vertex joins its top and bottom pieces: closing both ends of one piece
-finishes a cycle, two dead ends finish a path (an isolated vertex too), and
-otherwise the two far ends become partners.  The value of a state is the
-packed tally of 2*cycles + paths, shifted by 2w for a cycle and w for a path
-(w = 2n bits).  A state with a stack deeper than the vertices left is
-dropped, and a state and its top/bottom mirror share one entry.  After
-vertex m the fresh state (both stacks empty, both sides opening) holds row
-C(m, .), so one sweep gives every row m <= n, with no compose; ~1.5x per
-step of n.
+_transfer_rows(n) is the row oracle of verify, and census_cnk(n, workers != 1)
+runs it: one sweep over the vertices 1..n that reads only block arcs, so it
+rests neither on the winding theorem nor on the common-cut lemma.  Each side
+is opening or closing and keeps a stack of open arc ends; each end holds the
+other end of its piece of the meander so far, another open end or dead (a
+vertex with no arc to come).  At a vertex each side opens an arc, closes the
+innermost one or takes none, and the vertex joins its top and bottom pieces:
+closing both ends of one piece finishes a cycle, two dead ends finish a path
+(an isolated vertex too), and otherwise the two far ends become partners.
+The value of a state is the packed tally of 2*cycles + paths, shifted by 2w
+for a cycle and w for a path (w = 2n bits).  A state with a stack deeper
+than the vertices left is dropped, and a state and its top/bottom mirror
+share one entry.  After vertex m the fresh state (both stacks empty, both
+sides opening) holds row C(m, .), so one sweep gives every row m <= n, with
+no compose; ~1.5x per step of n.
 
-census_cnk_exhaustive(n) is the graph oracle, and census_cnk(n, workers != 1)
-runs it.  It rests on the common-cut lemma: if both compositions cut after
-the same vertex c < n, no arc crosses c, so the meander is the disjoint union
-of the two halves' meanders; cycles and paths add, and
+census_cnk_exhaustive(n) is the graph oracle.  It rests on the common-cut
+lemma: if both compositions cut after the same vertex c < n, no arc crosses
+c, so the meander is the disjoint union of the two halves' meanders; cycles
+and paths add, and
 
     index(T1T2/B1B2) = index(T1/B1) + index(T2/B2) + 1.
 
@@ -60,22 +60,9 @@ arc, at amortized O(1) a pair:
 paths = n - E needs no path counted.  It writes one byte a bottom, in mask
 order; a byte holds the value only while n < 256.
 
-The census's unit of work is a range of top masks in [0, 2^(n-1)): size m takes
-[tstart >> (n-m), tstop >> (n-m)) and builds the top tables of the
-canonical tops of that range only; floor-shifting a partition of
-[0, 2^(n-1)) gives a partition of [0, 2^(m-1)).  A range tallies its
-canonical tops for their mirrors too, wherever those lie, so a range's
-tally is not that of its own tops: only the sum over a partition is the
-true tally.  Forked over procs processes (_forked: the caller runs the
-first range itself and one os.fork each runs every other, results back
-through a pipe), each process takes one range, cut so each holds an equal
-share of the work: the irreducible pairs of canonical tops plus a set-up
-cost a canonical top (_TOP_COST).  The caller fills the _bottom_blocks
-tables first, so the children inherit them.  The parts' packed tallies add
-size by size, which commutes, so the result never depends on the split.
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families.  Results are sparse maps (zero
-counts omitted); every row C(n, .), either way, is decoded by _unpack_row.
+counts omitted); every row C(n, .), of any census, is decoded by _unpack_row.
 
 homotopy_census(n) runs the same recurrence on homotopy types
 (winding._wind_types): the same states, moves and memo keys, but a tally is
@@ -105,14 +92,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
-import os
-import signal
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import NoReturn
 
 from .compositions import all_pairs, composition_from_bitmask
 from .declarations import LIMITS, TABLES, limit
@@ -125,13 +108,6 @@ from .winding import (HomotopyType, _key_components, _move_table, _wind_tally,
 # c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
 # lines, so the table to this n takes a few seconds.
 GCD_TABLE_MAX_N = 300
-# The fork's range cuts weigh each canonical top by its irreducible bottoms
-# of size n plus this set-up cost: _top_table and the start of _graph_sums,
-# paid again at every smaller size, cost about as much as 32 bottoms of the
-# kernel.  Measured, not a setting: on 2 processes the CPU time of the first
-# range over the second went from 0.63, 0.71 and 0.73 at n = 10, 12 and 14
-# to 1.07, 1.00 and 0.92 with it (medians, 2-vCPU x86, CPython 3.11).
-_TOP_COST = 32
 
 
 def _check_limit(name: str, n: int) -> None:
@@ -222,34 +198,26 @@ def _graph_sums(n: int, T: list[int], tcuts: int = 0) -> bytearray:
 
 def _mirrors(w: int) -> list[int]:
     """Entry t: the w low bits of t in reverse order.  With w = n - 1 it is
-    the cut mask of the mirror of composition t of n (vertex i to n + 1 - i),
-    and entry t >> (n - m) that of composition t of m <= n."""
+    the cut mask of the mirror of composition t of n (vertex i to n + 1 - i)."""
     rev = [0]
     for i in range(w):
         rev = [r | b << i for r in rev for b in (0, 1)]
     return rev
 
 
-def _census_rows(n: int, tstart: int, tstop: int) -> list[int]:
+def _census_rows(n: int) -> list[int]:
     """Entry m: packed tally of index + 1 (2n bits a sum, _unpack_row) over
-    the irreducible pairs of size m whose top mask t lies in
-    [tstart >> (n - m), tstop >> (n - m)) and is canonical, t <= rev(t),
-    each counted twice unless t == rev(t); entry 0 is 0.  The parallel work
-    unit.
+    the irreducible pairs of size m; entry 0 is 0.
 
     Mirroring both compositions (vertex i to m + 1 - i) mirrors the meander
     and keeps a pair irreducible, so top rev(t) has the index multiset of
-    top t and only canonical tops run _graph_sums.  A range thus tallies its
-    canonical tops for their mirrors too, wherever those lie: only the sum
-    over a partition of [0, 2^(n-1)) is the true tally.
+    top t: only canonical tops, t <= rev(t), run _graph_sums, each counted
+    twice unless t == rev(t).
     """
-    mirror = _mirrors(n - 1)
     rows = [0]
     for m in range(1, n + 1):
-        shift = n - m
         once, twice = bytearray(), bytearray()
-        for tmask in range(tstart >> shift, tstop >> shift):
-            rev = mirror[tmask] >> shift
+        for tmask, rev in enumerate(_mirrors(m - 1)):
             if tmask <= rev:
                 (twice if tmask < rev else once).extend(
                     _graph_sums(m, _top_table(m, tmask), tmask))
@@ -262,21 +230,19 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
     """Tally of seaweed_index over all 4^(n-1) pairs of compositions of n.
 
     With one worker it is computed by the winding-down recurrence, whose
-    memo lives only for this call.  The recurrence is serial and takes
-    milliseconds, so any other worker count asks instead for the exhaustive
-    census forked over that many processes (census_cnk_exhaustive): the
-    independent cross-check, as in `table cnk --workers N`.  Fewer than one
-    worker is a UsageError, as in build_table.
+    memo lives only for this call.  Any other worker count asks instead for
+    the transfer sweep (_transfer_rows), the independent cross-check, as in
+    `table cnk --workers N`; both run in the calling process.  Fewer than
+    one worker is a UsageError, as in build_table.
     """
+    _check_workers(workers)
     return _cnk_rows(n, workers)[n]
 
 
 def _cnk_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
     """Rows C(m, .), m = 1..n: the recurrence's for one worker, else the
-    forked exhaustive census's from one tally (which refuses workers < 1)."""
-    if workers == 1:
-        return _recurrence_rows(n)
-    return _exhaustive_rows(n, workers)
+    transfer sweep's."""
+    return _recurrence_rows(n) if workers == 1 else _transfer_rows(n)
 
 
 def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
@@ -398,111 +364,15 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     return rows
 
 
-def census_cnk_exhaustive(n: int, workers: int = 1) -> dict[int, int]:
+def census_cnk_exhaustive(n: int) -> dict[int, int]:
     """Reference path: census_cnk as the last row of _exhaustive_rows."""
-    return _exhaustive_rows(n, workers)[n]
+    return _exhaustive_rows(n)[n]
 
 
-def _exhaustive_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
-    """Rows C(m, .), m = 1..n, from one irreducible tally over
-    min(workers, usable CPUs, 2^(n-1)) processes, one top-mask range each:
-    the caller runs the first range and forks a child for each other."""
-    _check_workers(workers)
+def _exhaustive_rows(n: int) -> dict[int, dict[int, int]]:
+    """Rows C(m, .), m = 1..n, composed from one irreducible tally."""
     _check_census_limit(n)
-    # before counting CPUs: no fork is an error on any host
-    if workers > 1 and not hasattr(os, "fork"):
-        raise UsageError(
-            "workers > 1 needs the 'fork' start method, which this platform lacks")
-    half = 1 << (n - 1)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    procs = min(workers, cpus, half)
-    # a canonical top mask with j cuts runs _graph_sums on 2^(n-1-j)
-    # irreducible bottoms of size n, after a set-up of _TOP_COST, any other
-    # top on none: cut where that weight reaches each 1/procs
-    mirror = _mirrors(n - 1)
-    weights = [(1 << (n - 1 - tmask.bit_count())) + _TOP_COST
-               if tmask <= mirror[tmask] else 0 for tmask in range(half)]
-    total = sum(weights)
-    cuts, acc = [0], 0
-    for tmask, weight in enumerate(weights):
-        acc += weight
-        while len(cuts) < procs and acc * procs >= total * len(cuts):
-            cuts.append(tmask + 1)
-    jobs = [(n, lo, hi) for lo, hi in zip(cuts, [*cuts[1:], half])]
-    # filled here, the tables of every size are inherited by each child and
-    # stay for the next call
-    for m in range(1, n + 1):
-        _bottom_blocks(m)
-    return _compose(n, list(map(sum, zip(*_forked(_census_rows, jobs)))))
-
-
-def _forked(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs]: jobs[0] runs in the caller, each other job
-    in a child process forked for it, so [] and one job fork nothing.
-
-    A child marshals its result into a pipe and always leaves by os._exit,
-    so it runs none of the caller's exit handlers and flushes none of its
-    buffers.  It takes the default action on SIGTERM: a signal sent to the
-    process group stops it rather than run a handler written for the caller,
-    while the caller's own job keeps the caller's handlers.  Signals stay
-    blocked from before each fork until the caller has recorded the child
-    and the child is inside its own try, so no handler runs in between.
-    Once every child runs, the caller runs jobs[0], then reads every pipe,
-    reaps every child, and raises ChildProcessError if one failed.  On any
-    exception of its own, its job failing or a SystemExit from a SIGTERM
-    handler included, it kills and reaps every child before re-raising, so
-    no census leaves a process behind.
-    """
-    pids, reads = [], []
-    try:
-        for job in jobs[1:]:
-            r, w = os.pipe()
-            reads.append(r)
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            try:
-                pid = os.fork()
-                if not pid:
-                    _child(fn, job, w, mask)
-                pids.append(pid)
-            finally:
-                os.close(w)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results = [fn(*job) for job in jobs[:1]]
-        blobs = []
-        for r in reads:
-            with open(r, "rb", closefd=False) as pipe:
-                blobs.append(pipe.read())
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for r in reads:
-            os.close(r)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(codes):
-        raise ChildProcessError(f"census processes failed, exit codes {codes}")
-    return results + [marshal.loads(blob) for blob in blobs]
-
-
-def _child(fn, job: tuple, w: int, mask) -> NoReturn:
-    """The body of a child of _forked: SIGTERM default and the caller's
-    signal mask back, then fn(*job) marshalled into w."""
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        data = marshal.dumps(fn(*job))
-        with open(w, "wb", closefd=False) as pipe:
-            pipe.write(data)
-        os._exit(0)
-    except BaseException:
-        import traceback  # only a failing child pays for it
-        traceback.print_exc()
-    finally:
-        os._exit(1)
+    return _compose(n, _census_rows(n))
 
 
 def _compose(n: int, g: list[int]) -> dict[int, dict[int, int]]:
@@ -557,19 +427,6 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
 
 
 @cache
-def _homotopy_type(key: tuple[int, ...]) -> HomotopyType:
-    """The one HomotopyType of canonical tuple `key`, shared by every row.
-
-    A kept row of n = 8 (58 types) holds ~11 KB when each key is a fresh
-    HomotopyType and tuple, ~2.6 KB when the keys are shared (tracemalloc),
-    so a caller that keeps many rows pays ~4x for fresh ones.  The cache
-    holds one entry a multiset of sum <= n: a few hundred for every n the
-    default census limit allows.
-    """
-    return HomotopyType(key)
-
-
-@cache
 def _count(v: int) -> int:
     """The one int object of count v, shared by every row as the keys are.
 
@@ -582,16 +439,24 @@ def _count(v: int) -> int:
 
 @cache
 def _keyed_type(key: int, b: int) -> HomotopyType:
-    """The shared _homotopy_type of a type key with b-bit digits
-    (winding._type_key): a row decodes each of its keys once a process."""
-    return _homotopy_type(_key_components(key, b))
+    """The one HomotopyType of a type key with b-bit digits
+    (winding._type_key), shared by every row with that key: a row decodes
+    each of its keys once a process.
+
+    A kept row of n = 8 (58 types) holds ~11 KB when each key is a fresh
+    HomotopyType and tuple, ~2.6 KB when the keys are shared (tracemalloc),
+    so a caller that keeps many rows pays ~4x for fresh ones.  The cache
+    holds one entry a multiset of sum <= n and digit width b: a few hundred
+    for every n the default census limit allows.
+    """
+    return HomotopyType(_key_components(key, b))
 
 
 def homotopy_census(n: int) -> dict[HomotopyType, int]:
     """Tally of canonical homotopy types over all 4^(n-1) pairs, in order of
     canonical tuple, by the winding recurrence (winding._wind_types), whose
     memo lives only for this call.  Each call builds a new dict; its keys and
-    counts are the shared _homotopy_type and _count objects.
+    counts are the shared _keyed_type and _count objects.
     """
     _check_census_limit(n)
     b = n.bit_length()

@@ -3,9 +3,6 @@ import gc
 import json
 import os
 import random
-import signal
-import sys
-import time
 from collections import Counter
 
 import pytest
@@ -87,7 +84,7 @@ def test_recurrence_rows_past_the_exhaustive_reach(monkeypatch):
 def test_transfer_rows_match_the_exhaustive_rows():
     # the sweep reads block arcs only, the exhaustive census composes the
     # graph index of the irreducible pairs: every row n <= 12 agrees
-    assert enumeration._transfer_rows(12) == enumeration._exhaustive_rows(12, 1)
+    assert enumeration._transfer_rows(12) == enumeration._exhaustive_rows(12)
 
 
 def test_census_frees_its_memo():
@@ -100,12 +97,8 @@ def test_census_frees_its_memo():
         gc.enable()
 
 
-def test_census_parallel_agrees():
-    assert census_cnk_exhaustive(8, workers=3) == census_cnk_exhaustive(8, workers=1)
-
-
 def _unfolded_rows(n):
-    """_census_rows(n, 0, 2^(n-1)) with _graph_sums run on every top."""
+    """_census_rows(n) with _graph_sums run on every top."""
     rows = [0]
     for m in range(1, n + 1):
         sums = b"".join(enumeration._graph_sums(m, enumeration._top_table(m, t), t)
@@ -114,37 +107,17 @@ def _unfolded_rows(n):
     return rows
 
 
-def test_census_rows_split_anywhere():
-    # the fork cuts [0, 2^(n-1)) into one top-mask range per process.  A
-    # range tallies its canonical tops, t <= rev(t), twice unless t is its
-    # own mirror, so only a partition's sum is the true tally: any cuts,
-    # empty ranges and a top apart from its mirror included, merge to the
-    # unfolded tally and compose to the same rows.  Skipping the doubling,
-    # or doubling the palindromes, changes the sum.
-    rng = random.Random(6)
+def test_census_rows_fold_the_mirrors():
+    # the census runs _graph_sums on the canonical tops, t <= rev(t), only,
+    # each counted twice unless t is its own mirror: skipping the doubling,
+    # or doubling the palindromes, changes the tally.  Composed, the rows
+    # are the recurrence's
     recurrence = enumeration._recurrence_rows(10)
     for n in range(1, 11):
-        half = 1 << (n - 1)
-        want = _unfolded_rows(n)
-        rows = enumeration._compose(n, want)
-        assert rows == {m: recurrence[m] for m in range(1, n + 1)}, n
-        partitions = [[0, half]]
-        if n >= 3:
-            # top 1 (a cut after vertex 1) apart from its mirror 2^(n-2)
-            assert enumeration._mirrors(n - 1)[1] == half >> 1
-            partitions.append([0, 2, half])
-        for k in (2, 3, 5):
-            for _ in range(2):
-                inner = sorted(rng.randint(0, half) for _ in range(k - 1))
-                partitions.append([0, *inner, half])
-        for cuts in partitions:
-            parts = [enumeration._census_rows(n, lo, hi)
-                     for lo, hi in zip(cuts, cuts[1:])]
-            merged = list(map(sum, zip(*parts)))
-            assert merged == want, (n, cuts)
-            assert enumeration._compose(n, merged) == rows, (n, cuts)
-        assert enumeration._census_rows(n, half, half) == [0] * (n + 1)
-        assert enumeration._census_rows(n, 0, 0) == [0] * (n + 1)
+        rows = enumeration._census_rows(n)
+        assert rows == _unfolded_rows(n), n
+        assert enumeration._compose(n, rows) == {
+            m: recurrence[m] for m in range(1, n + 1)}, n
 
 
 def test_census_composes_the_full_rows():
@@ -170,7 +143,7 @@ def test_irreducible_pairs_per_size():
     # pairs without a common internal cut: top, bottom or neither cuts at
     # each of the m - 1 positions
     n = 12
-    rows = enumeration._census_rows(n, 0, 1 << (n - 1))
+    rows = enumeration._census_rows(n)
     sizes = [sum(enumeration._unpack_row(packed, 2 * n).values()) for packed in rows]
     assert sizes == [0] + [3 ** (m - 1) for m in range(1, n + 1)]
 
@@ -196,210 +169,34 @@ def test_mirrored_tops_have_one_index_multiset():
             assert sorted(sums) == sorted(rsums), (m, t)
 
 
-def _sigterm_is_default(n, tstart, tstop):
-    # one irreducible pair of size n, of index 1 if SIGTERM is default, else 0
-    s = 1 + (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
-    return [0] * n + [1 << s * 2 * n]
-
-
-def test_census_children_take_default_sigterm(monkeypatch):
-    # a forked child takes the default action on SIGTERM, since a caller's
-    # Python-level handler inherited through fork is written for the caller;
-    # the range the caller runs itself keeps that handler
-    monkeypatch.setattr(enumeration, "_census_rows", _sigterm_is_default)
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    old = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
-    try:
-        assert census_cnk_exhaustive(8, workers=2) == {0: 1, 1: 1}
-    finally:
-        signal.signal(signal.SIGTERM, old)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _raises(n, tstart, tstop):
-    raise RuntimeError("census range failed")
-
-
-def test_census_child_failure_raises_in_parent(monkeypatch):
-    # a child that raises exits nonzero: the caller reaps every child and
-    # raises with the child's exit code, and no process is left behind.  The
-    # caller runs the range at top 0, the child the other
-    census_rows = enumeration._census_rows
-    monkeypatch.setattr(enumeration, "_census_rows",
-                        lambda n, lo, hi: (_raises if lo else census_rows)(n, lo, hi))
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    with pytest.raises(ChildProcessError,
-                       match=r"^census processes failed, exit codes \[1\]$"):
-        census_cnk_exhaustive(8, workers=2)
-    _no_child_left()
-
-
-def test_census_caller_range_failure_propagates(monkeypatch):
-    # the caller's own range raising kills and reaps its child, and the
-    # range's exception is the one that propagates
-    monkeypatch.setattr(enumeration, "_census_rows", _raises)
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    with pytest.raises(RuntimeError, match=r"^census range failed$"):
-        census_cnk_exhaustive(8, workers=2)
-    _no_child_left()
-
-
-def test_forked_parent_exception_kills_its_children():
-    # an exception in the parent while its children run, here SystemExit
-    # from a signal handler as a terminated benchmark raises, kills and
-    # reaps them before it propagates
-    old = signal.signal(signal.SIGALRM, lambda signum, frame: sys.exit(3))
-    start = time.perf_counter()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
-        with pytest.raises(SystemExit):
-            enumeration._forked(time.sleep, [(60,), (60,)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-    assert time.perf_counter() - start < 30
-    _no_child_left()
-
-
-def _sleep_unless_zero(seconds):
-    if not seconds:
-        raise RuntimeError("caller's job failed")
-    time.sleep(seconds)
-
-
-def test_forked_caller_job_failure_kills_sleeping_children():
-    # the caller's job raising while its children sleep kills and reaps
-    # them before the exception propagates
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"^caller's job failed$"):
-        enumeration._forked(_sleep_unless_zero, [(0,), (60,), (60,)])
-    assert time.perf_counter() - start < 30
-    _no_child_left()
-
-
-def test_forked_fewer_than_two_jobs_fork_nothing(monkeypatch):
-    def no_fork():
-        raise AssertionError("a child was forked")
-
-    monkeypatch.setattr(enumeration.os, "fork", no_fork)
-    assert enumeration._forked(pow, []) == []
-    assert enumeration._forked(pow, [(3, 5)]) == [243]
-
-
-def test_forked_census_matches_serial(monkeypatch):
-    # real forks: the caller and up to three children, every row n <= 10
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2, 3}, raising=False)
-    for n in range(1, 11):
-        serial = enumeration._exhaustive_rows(n, 1)
-        for workers in (2, 3, 4):
-            assert enumeration._exhaustive_rows(n, workers) == serial, (n, workers)
-    _no_child_left()
-
-
-def test_forked_ranges_inherit_the_bottom_blocks(monkeypatch):
-    # the caller fills _bottom_blocks for every size before it forks, so no
-    # range builds a table: each range's cache misses ride in entry 0 of its
-    # tally, which _compose never reads, and their sum is 0
-    census_rows, compose = enumeration._census_rows, enumeration._compose
-    misses = []
-
-    def counting(n, tstart, tstop):
-        before = enumeration._bottom_blocks.cache_info().misses
-        rows = census_rows(n, tstart, tstop)
-        rows[0] = enumeration._bottom_blocks.cache_info().misses - before
-        return rows
-
-    def recording(n, g):
-        misses.append(g[0])
-        return compose(n, g)
-
-    monkeypatch.setattr(enumeration, "_census_rows", counting)
-    monkeypatch.setattr(enumeration, "_compose", recording)
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2}, raising=False)
-    enumeration._bottom_blocks.cache_clear()
-    assert enumeration._exhaustive_rows(10, 3) == enumeration._recurrence_rows(10)
-    assert misses == [0]
-
-
-def test_forked_results_in_job_order():
-    assert enumeration._forked(pow, [(2, 100), (3, 5), (7, 0)]) == [2 ** 100, 243, 1]
-    _no_child_left()
-
-
-def _in_process(calls):
-    """Stands in for _forked: records the number of jobs, one process each,
-    and runs them in this process."""
-    def forked(fn, jobs):
-        calls.append(len(jobs))
-        return [fn(*job) for job in jobs]
-    return forked
-
-
-def test_census_forks_bounded_by_cpus(monkeypatch):
-    calls = []
-    monkeypatch.setattr(enumeration, "_forked", _in_process(calls))
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2}, raising=False)
-    want = census_cnk_exhaustive(8)
-    assert census_cnk_exhaustive(8, workers=1000) == want
-    assert census_cnk_exhaustive(8, workers=2) == want
-    assert calls == [1, 3, 2]
-    # no affinity call: the CPU count bounds the processes
-    monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 5)
-    assert census_cnk_exhaustive(8, workers=1000) == want
-    assert calls[-1] == 5
-
-
-def test_forked_table_forks_once(monkeypatch):
-    # every row of the table comes from one forked tally
-    calls = []
-    monkeypatch.setattr(enumeration, "_forked", _in_process(calls))
-    monkeypatch.setattr(enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    table = build_table("cnk", 8, workers=2)
-    assert calls == [2]
-    golden = load_golden("cnk")
-    assert table.rows == {n: golden.rows[n] for n in range(1, 9)}
-
-
-def test_census_without_fork_is_a_usage_error(monkeypatch):
-    monkeypatch.delattr(enumeration.os, "fork")
-    with pytest.raises(UsageError):
-        census_cnk_exhaustive(8, workers=2)
-    assert census_cnk_exhaustive(8, workers=1) == census_cnk(8)
+def test_census_without_fork_runs_every_worker_count(monkeypatch):
+    # no census forks: where os.fork is missing, more than one worker still
+    # gives the row
+    monkeypatch.delattr(os, "fork")
+    assert census_cnk(8, workers=2) == census_cnk(8, workers=1)
 
 
 @pytest.mark.parametrize("census, workers", [
-    (census_cnk, 0), (census_cnk, -2), (census_cnk_exhaustive, 0)])
+    (census_cnk, 0), (census_cnk, -2)])
 def test_census_workers_below_one(monkeypatch, census, workers):
     # the library refuses the worker counts build_table refuses, before a row
     def no_rows(*args):
         raise AssertionError("a row was computed")
 
-    for name in ("_wind_tally", "_census_rows"):
+    for name in ("_wind_tally", "_side_moves"):
         monkeypatch.setattr(enumeration, name, no_rows)
     with pytest.raises(UsageError, match=rf"^workers must be >= 1, got {workers}$"):
         census(4, workers=workers)
 
 
-def test_census_workers_run_exhaustive(monkeypatch):
-    # more than one worker asks for the forked exhaustive census
+def test_census_workers_run_the_transfer_sweep(monkeypatch):
+    # more than one worker asks for the transfer sweep, the cross-check
     calls = []
-    monkeypatch.setattr(enumeration, "_exhaustive_rows",
-                        lambda n, workers: calls.append(workers) or {n: {}})
+    monkeypatch.setattr(enumeration, "_transfer_rows",
+                        lambda n: calls.append(n) or {n: {}})
     census_cnk(4, workers=2)
     census_cnk(4, workers=1)
-    assert calls == [2]
+    assert calls == [4]
     monkeypatch.undo()
     assert census_cnk(8, workers=2) == census_cnk(8)
 
