@@ -37,28 +37,21 @@ common internal cut).  Each of the m-1 cut positions of size m is cut by the
 top, by the bottom or by neither, so there are 3^(m-1) irreducible pairs of
 size m, not 4^(m-1).  _census_rows tallies index + 1 over the irreducible
 pairs of every size m <= n, g_m, packed like the recurrence's rows, so g_m
-is the polynomial sum of count * y^(index + 1) at y = 2^(2n).  It runs the
-kernel on half the tops, by the mirror rule: reversing both compositions
+is the polynomial sum of count * y^(index + 1) at y = 2^(2n).  It joins
+half the tops, by the mirror rule: reversing both compositions
 (vertex i to m + 1 - i) mirrors the meander and keeps a pair irreducible,
 so the top whose m - 1 cut bits are those of t reversed, rev(t), has the
-index multiset of t.  Only canonical tops, t <= rev(t), run the kernel,
-and each counts twice unless it is its own mirror.  _compose
+index multiset of t.  Only canonical tops, t <= rev(t), are joined, and
+each counts twice unless it is its own mirror.  _compose
 multiplies them as ints: F_0 = 1, F_n = sum over m = 1..n of g_m * F_(n-m),
 and C(n, k) is field k + 1 of F_n.  So one tally gives every row C(m, .),
 m <= n (_exhaustive_rows), and census_cnk_exhaustive keeps the last.  A step
 of n costs ~3x.
 
-Given a top partner table (1-based, as meander._partners builds it; it also
-gives the top's arc count) and the top's cuts, _graph_sums grows the
-bottom compositions that avoid those cuts as a prefix tree, adding each
-block's arcs once for all that share the prefix, and joins path ends arc by
-arc, at amortized O(1) a pair:
-
-    index + 1 = 2*cycles + n - E
-
-(E total arcs): a cycle with v vertices has v arcs and a path v-1, so
-paths = n - E needs no path counted.  It writes one byte a bottom, in mask
-order; a byte holds the value only while n < 256.
+The join is meander._joins, written once: for each size m the parts and
+block arcs of the compositions are built once, and each canonical top is
+seeded once and joined with every bottom whose cut mask avoids its cuts,
+the irreducible pairs, giving index + 1 = 2*cycles + paths.
 
 census_cnk_naive goes through the public meander API.  census_c21 and
 census_c22 tally the two restricted families.  Results are sparse maps (zero
@@ -101,7 +94,7 @@ from .compositions import all_pairs, composition_from_bitmask
 from .declarations import LIMITS, TABLES, limit
 from .errors import UsageError, check_limit
 from .formulas import gcd_index_2parts, gcd_index_3parts
-from .meander import _block_edges, _joins, _partners, seaweed_index
+from .meander import _block_edges, _joins, seaweed_index
 from .winding import (HomotopyType, _key_components, _move_table, _wind_tally,
                       _wind_types)
 
@@ -125,77 +118,6 @@ def _check_workers(workers: int) -> None:
         raise UsageError(f"workers must be >= 1, got {workers}")
 
 
-def _top_table(n: int, mask: int) -> list[int]:
-    """Partner table (meander._partners) of the composition of n with mask."""
-    return _partners(n, _block_edges(composition_from_bitmask(n, mask).parts))
-
-
-@cache
-def _bottom_blocks(n: int) -> tuple:
-    """The prefix tree of bottom compositions of n, grown from the right.
-
-    Entry p lists each block q+1..p that can close the prefix 1..p as (q, the
-    mask bit of the cut after q, or 0 when q == 0, and the block's arcs: one
-    part of p - q shifted by q), for q = p-1 down to 2, then 0, then 1.  A
-    depth-first walk that pushes q > 1 and stores q <= 1 at once (vertex 1
-    alone has no arc) then meets the masks in increasing order.
-    """
-    def block(q, p):
-        arcs = tuple((j + q, k + q) for j, k in _block_edges((p - q,)))
-        return q, 1 << (q - 1) if q else 0, arcs
-
-    return tuple(
-        tuple(block(q, p) for q in [*range(p - 1, 1, -1), *range(min(p, 2))])
-        for p in range(n + 1))
-
-
-def _graph_sums(n: int, T: list[int], tcuts: int = 0) -> bytearray:
-    """Graph index + 1 of top table T over each bottom mask without a cut in
-    tcuts, one byte each in mask order (a byte holds it while n < 256).
-
-    T alone gives the top's arc count tarcs: one arc per vertex u < T[u].
-    Depth first over _bottom_blocks, a node holds a path-end array, seeded
-    with T (end[u] = far end of the path ending at u), and the running value
-    n - tarcs + 2*cycles - barcs.  A bottom arc (u, w) closes a cycle if
-    end[u] == w (+1); else the far ends x, y of u and w now end one path
-    (end[x], end[y] = y, x; -1).  At a leaf the value is index + 1, since
-    paths = n - E.  Only blocks with arcs copy the array, so T is never
-    written.  A block whose cut bit is in tcuts is skipped with its subtree:
-    with tcuts = the top's mask, only the pairs sharing no cut with the top
-    remain, the irreducible pairs of the exhaustive census.
-
-    meander._joins writes the same join for one seeded top.  The two are
-    kept apart on purpose: a shared helper called once a block slowed this
-    loop by ~13%.
-    """
-    blocks = _bottom_blocks(n)
-    out = bytearray()
-    tarcs = sum(u < w for u, w in enumerate(T))
-    stack = [(n, T, n - tarcs)]
-    while stack:
-        p, end, val = stack.pop()
-        for q, bit, arcs in blocks[p]:
-            if bit & tcuts:
-                continue
-            e, v = end, val
-            if arcs:
-                e = end[:]
-                for u, w in arcs:
-                    x = e[u]
-                    if x == w:
-                        v += 1
-                    else:
-                        y = e[w]
-                        e[x] = y
-                        e[y] = x
-                        v -= 1
-            if q > 1:
-                stack.append((q, e, v))
-            else:
-                out.append(v)
-    return out
-
-
 def _mirrors(w: int) -> list[int]:
     """Entry t: the w low bits of t in reverse order.  With w = n - 1 it is
     the cut mask of the mirror of composition t of n (vertex i to n + 1 - i)."""
@@ -209,19 +131,27 @@ def _census_rows(n: int) -> list[int]:
     """Entry m: packed tally of index + 1 (2n bits a sum, _unpack_row) over
     the irreducible pairs of size m; entry 0 is 0.
 
-    Mirroring both compositions (vertex i to m + 1 - i) mirrors the meander
-    and keeps a pair irreducible, so top rev(t) has the index multiset of
-    top t: only canonical tops, t <= rev(t), run _graph_sums, each counted
-    twice unless t == rev(t).
+    The parts and arcs of the compositions of m are built once a size.  Each
+    top t is joined, by meander._joins, with every bottom whose mask shares
+    no cut with t.  Mirroring both compositions (vertex i to m + 1 - i)
+    mirrors the meander and keeps a pair irreducible, so top rev(t) has the
+    index multiset of top t: only canonical tops, t <= rev(t), are joined,
+    each counted twice unless t == rev(t).
     """
     rows = [0]
     for m in range(1, n + 1):
-        once, twice = bytearray(), bytearray()
-        for tmask, rev in enumerate(_mirrors(m - 1)):
-            if tmask <= rev:
-                (twice if tmask < rev else once).extend(
-                    _graph_sums(m, _top_table(m, tmask), tmask))
-        rows.append(sum((once.count(s) + 2 * twice.count(s)) << s * 2 * n
+        parts = [composition_from_bitmask(m, mask).parts for mask in range(1 << (m - 1))]
+        arcs = [_block_edges(p) for p in parts]
+        once, twice = Counter(), Counter()
+        for t, rev in enumerate(_mirrors(m - 1)):
+            if t <= rev:
+                bottoms = [0]  # the masks that share no cut with t
+                for i in range(m - 1):
+                    if not t >> i & 1:
+                        bottoms += [b | 1 << i for b in bottoms]
+                (twice if t < rev else once).update(
+                    v for _, v in _joins(parts[t], [arcs[b] for b in bottoms]))
+        rows.append(sum((once[s] + 2 * twice[s]) << s * 2 * n
                         for s in range(1, m + 1)))
     return rows
 
@@ -394,7 +324,7 @@ def _compose(n: int, g: list[int]) -> dict[int, dict[int, int]]:
 
 def census_cnk_naive(n: int) -> dict[int, int]:
     """Reference path: same tally through the public meander API, one
-    seaweed_index call a pair; no census kernel and no common cuts."""
+    seaweed_index call a pair; no shared seed and no common cuts."""
     _check_census_limit(n)
     return Counter(map(seaweed_index, all_pairs(n)))
 

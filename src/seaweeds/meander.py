@@ -17,9 +17,9 @@ For a seaweed in sl(n) of this type,
 seaweed_index counts, without a walk: _join joins path ends arc by arc for
 one pair, and verify's winding certificate reads the same join on a prefix
 of a pair.  _joins, under _join, seeds one side once and joins each of many
-other sides into a copy: verify's gcd families and census_c22's meander
-oracle run it once per shared side.  The census kernel enumeration._graph_sums
-keeps its own copy of the join for many bottoms at once.
+other sides into a copy: verify's gcd families, census_c22's meander
+oracle and the exhaustive census (enumeration._census_rows) run it once per
+shared side, so the join is written once.
 component_summary walks the graph and lists each component's vertex set;
 the CLI's `index` reports it, and the tests hold the join against it.
 """
@@ -85,9 +85,9 @@ def component_summary(m: Meander) -> ComponentSummary:
     Every vertex is visited once, by walks that go one way: one from an end of
     each path (a vertex with no arc in some layer), then one round each cycle.
     Paths are not counted on the walk: paths = n - E (E arcs in both layers).
-    Only the vertex sets need the walk: seaweed_index and the census kernel
-    enumeration._graph_sums join path ends arc by arc, which counts cycles
-    but lists no vertex sets, so this walk is their independent oracle.
+    Only the vertex sets need the walk: seaweed_index and the exhaustive
+    census join path ends arc by arc (_joins), which counts cycles but lists
+    no vertex sets, so this walk is their independent oracle.
     """
     top = _partners(m.n, m.top_edges)
     bot = _partners(m.n, m.bottom_edges)
@@ -156,9 +156,8 @@ def _join(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[list[int], int
 def seaweed_index(t: SeaweedType) -> int:
     """Index of the seaweed of type t, as index + 1 = 2*cycles + n - E.
 
-    The path-end join (_join) counts it with no Meander and no vertex lists.
-    _joins writes the join once; its copy in enumeration._graph_sums runs
-    it over a prefix tree of bottoms.
+    The path-end join (_join) counts it with no Meander and no vertex lists;
+    _joins writes the join once, for every caller.
     """
     return _join(t.top.parts, t.bottom.parts)[1] - 1
 

@@ -1,9 +1,8 @@
-import copy
 import gc
 import json
 import os
-import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -26,7 +25,7 @@ from seaweeds.errors import LimitExceeded, UsageError
 from seaweeds.formulas import DIAGONALS
 from seaweeds.meander import (
     _block_edges,
-    _partners,
+    _joins,
     build_meander,
     component_summary,
     seaweed_index,
@@ -97,18 +96,32 @@ def test_census_frees_its_memo():
         gc.enable()
 
 
+@cache
+def _compositions(m):
+    """Parts and block arcs of each composition of m, in mask order."""
+    parts = [composition_from_bitmask(m, mask).parts for mask in range(1 << (m - 1))]
+    return parts, [_block_edges(p) for p in parts]
+
+
+def _joined(m, t, irreducible=True):
+    """index + 1 of top t of m by meander._joins, in mask order, over every
+    bottom or only those sharing no cut with t."""
+    parts, arcs = _compositions(m)
+    bottoms = [a for b, a in enumerate(arcs) if not (irreducible and b & t)]
+    return [v for _, v in _joins(parts[t], bottoms)]
+
+
 def _unfolded_rows(n):
-    """_census_rows(n) with _graph_sums run on every top."""
+    """_census_rows(n) with every top joined."""
     rows = [0]
     for m in range(1, n + 1):
-        sums = b"".join(enumeration._graph_sums(m, enumeration._top_table(m, t), t)
-                        for t in range(1 << (m - 1)))
-        rows.append(sum(sums.count(s) << s * 2 * n for s in range(1, m + 1)))
+        sums = Counter(v for t in range(1 << (m - 1)) for v in _joined(m, t))
+        rows.append(sum(c << s * 2 * n for s, c in sums.items()))
     return rows
 
 
 def test_census_rows_fold_the_mirrors():
-    # the census runs _graph_sums on the canonical tops, t <= rev(t), only,
+    # the census joins the canonical tops, t <= rev(t), only,
     # each counted twice unless t is its own mirror: skipping the doubling,
     # or doubling the palindromes, changes the tally.  Composed, the rows
     # are the recurrence's
@@ -125,8 +138,7 @@ def test_census_composes_the_full_rows():
     for n in range(1, 11):
         full = Counter()
         for tmask in range(1 << (n - 1)):
-            T = enumeration._top_table(n, tmask)
-            full.update(s - 1 for s in enumeration._graph_sums(n, T))
+            full.update(s - 1 for s in _joined(n, tmask, irreducible=False))
         assert census_cnk_exhaustive(n) == full, n
 
 
@@ -164,9 +176,7 @@ def test_mirrored_tops_have_one_index_multiset():
         mirror = _mirror_masks(m)
         assert enumeration._mirrors(m - 1) == mirror, m
         for t, r in enumerate(mirror):
-            sums = enumeration._graph_sums(m, enumeration._top_table(m, t), t)
-            rsums = enumeration._graph_sums(m, enumeration._top_table(m, r), r)
-            assert sorted(sums) == sorted(rsums), (m, t)
+            assert sorted(_joined(m, t)) == sorted(_joined(m, r)), (m, t)
 
 
 def test_census_without_fork_runs_every_worker_count(monkeypatch):
@@ -202,51 +212,17 @@ def test_census_workers_run_the_transfer_sweep(monkeypatch):
 
 
 def test_graph_indices_match_seaweed_index_per_pair():
-    # tallies cannot see per-pair errors that cancel; the verify winding
-    # check reads these values pair by pair
+    # the census's irreducible pairs, bottoms sharing no top cut, against
+    # the component walk with no join, tallied as _census_rows packs them
+    sums = [Counter()]
+    for m in range(1, 8):
+        comps = [composition_from_bitmask(m, mask) for mask in range(1 << (m - 1))]
+        sums.append(Counter(
+            component_summary(build_meander(SeaweedType(comps[t], comps[b]))).index + 1
+            for t in range(len(comps)) for b in range(len(comps)) if not t & b))
     for n in range(1, 8):
-        half = 1 << (n - 1)
-        comps = [composition_from_bitmask(n, m) for m in range(half)]
-        for tmask in range(half):
-            T = enumeration._top_table(n, tmask)
-            got = enumeration._graph_sums(n, T)
-            # the component walk: seaweed_index is this kernel's own join
-            want = [component_summary(build_meander(SeaweedType(comps[tmask], bottom)))
-                    .index + 1 for bottom in comps]
-            assert got == bytes(want)
-            # the census's irreducible pairs: bottoms sharing no top cut
-            got = enumeration._graph_sums(n, T, tmask)
-            assert got == bytes(v for bmask, v in enumerate(want) if not bmask & tmask)
-
-
-@pytest.mark.parametrize("n", [11, 12])
-def test_graph_indices_match_seaweed_index_at_verify_depth(n):
-    # verify's formulas check runs the kernel up to n = 12; a few seeded rows
-    # there, every bottom mask against component_summary's own walk
-    rng = random.Random(n)
-    half = 1 << (n - 1)
-    comps = [composition_from_bitmask(n, m) for m in range(half)]
-    for tmask in [0, half - 1] + rng.sample(range(1, half - 1), 2):
-        edges = _block_edges(comps[tmask].parts)
-        got = enumeration._graph_sums(n, _partners(n, edges))
-        want = [component_summary(build_meander(SeaweedType(comps[tmask], bottom)))
-                .index + 1 for bottom in comps]
-        assert got == bytes(want), tmask
-
-
-def test_census_rows_leave_the_top_tables_unchanged(monkeypatch):
-    # the kernel seeds its path-end array with the top table itself; a write
-    # to it would not show in any tally, so compare the tables
-    top_table = enumeration._top_table
-    for n in range(1, 9):
-        tables = {(m, mask): top_table(m, mask)
-                  for m in range(1, n + 1) for mask in range(1 << (m - 1))}
-        before = copy.deepcopy(tables)
-        monkeypatch.setattr(enumeration, "_top_table",
-                            lambda m, mask: tables[m, mask])
-        assert census_cnk_exhaustive(n) == census_cnk(n)
-        monkeypatch.undo()
-        assert tables == before, n
+        assert enumeration._census_rows(n) == [
+            sum(c << s * 2 * n for s, c in sums[m].items()) for m in range(n + 1)], n
 
 
 def test_census_c21():
@@ -400,7 +376,7 @@ def test_census_guard(monkeypatch, census):
     def no_pairs(*args):
         raise AssertionError("a pair was computed")
 
-    for name in ("_wind_tally", "_graph_sums", "seaweed_index",
+    for name in ("_wind_tally", "_joins", "seaweed_index",
                  "_wind_types", "_side_moves"):
         monkeypatch.setattr(enumeration, name, no_pairs)
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
