@@ -27,6 +27,7 @@ the CLI's `index` reports it, and the tests hold the join against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .compositions import SeaweedType
 
@@ -35,9 +36,10 @@ def _block_edges(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     edges = []
     p = 0
     for a in parts:
-        s = 2 * p + a + 1  # j + k for every arc of this block
-        for j in range(p + 1, p + 1 + a // 2):
-            edges.append((j, s - j))
+        if a > 1:  # a part of 1 has no arc: no range is built for it
+            s = 2 * p + a + 1  # j + k for every arc of this block
+            for j in range(p + 1, p + 1 + a // 2):
+                edges.append((j, s - j))
         p += a
     return edges
 
@@ -163,8 +165,10 @@ def seaweed_index(t: SeaweedType) -> int:
 
 
 def seaweed_dimension(t: SeaweedType) -> int:
-    tri = lambda a: a * (a + 1) // 2
-    return sum(tri(a) for a in t.top) + sum(tri(b) for b in t.bottom) - t.n - 1
+    """sum a(a+1)/2 + sum b(b+1)/2 - n - 1, read as (sum a^2 + sum b^2)/2 - 1:
+    both sides sum to n, so the linear terms cancel the - n."""
+    top, bottom = t.top.parts, t.bottom.parts
+    return (sum(map(mul, top, top)) + sum(map(mul, bottom, bottom))) // 2 - 1
 
 
 def seaweed_rank(n: int) -> int:

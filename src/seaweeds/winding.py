@@ -39,6 +39,12 @@ pair whose parts are all within its bound.  So the census runs the rule the
 certificate proves.  The deque kernel _wind_homotopy winds a single pair for
 wind_down and homotopy_components; it keeps an inline copy of the rule on
 purpose, pinned to _move by the tests on every head pair.
+
+A Move keeps its text, set once when it is built and outside eq, hash and
+repr, so format_signature joins texts and calls nothing a move.  The kernel
+records shared moves: the one F, R, B and P of the module, and one C(c) a
+size c a call, so a signature of thousands of moves builds a Move only per
+distinct C size.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ _SIG_TOKEN = re.compile(r"[FRBP]|C\((\d+)\)")
 class Move:
     tag: str  # one of F C R B P
     size: int | None = None  # recorded component, C only
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in ("F", "C", "R", "B", "P"):
@@ -66,9 +73,11 @@ class Move:
             raise ValueError("size goes with C moves and only with them")
         if self.tag == "C" and (type(self.size) is not int or self.size < 1):
             raise ValueError(f"C size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "_text",
+                           f"C({self.size})" if self.tag == "C" else self.tag)
 
     def __str__(self) -> str:
-        return f"C({self.size})" if self.tag == "C" else self.tag
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,7 @@ def _move(a: int, b: int) -> tuple[str, int, tuple[int, ...], tuple[int, ...]]:
 
 
 _MOVES = {tag: Move(tag) for tag in "FRBP"}
+_F, _R, _B, _P = _MOVES.values()  # the moves _wind_homotopy records
 
 
 def wind_step(t: SeaweedType) -> tuple[Move, SeaweedType | None]:
@@ -167,35 +177,44 @@ def _wind_homotopy(top, bottom, moves=None) -> tuple[int, ...]:
     path: a kernel that calls _move a move took ~1.9-2.0x this one's time
     with moves recorded, and a block of the `queries` benchmark (seed 1)
     22-36% longer (medians of 5 and 7 alternating runs, 2-vCPU x86, CPython
-    3.11).  Parts up to MAX_TYPE_N rule out a table.
+    3.11).  Parts up to MAX_TYPE_N rule out a table.  Recorded moves are
+    shared, not built a move: F, R, B and P are the module's one object of
+    each (_F, _R, _B, _P), and C(a) is built once a size a call, in `sized`,
+    so a many-part pair's moves cost a list append each.  Without `moves` a
+    move only binds its object, and no dict is built.
     """
     dt, db = deque(top), deque(bottom)
     out = []
+    sized = {} if moves is not None else None
     while dt:
         a, b = dt[0], db[0]
         if a < b:
             dt, db = db, dt
-            tag = "F"
+            move = _F
         elif a == b:
             dt.popleft()
             db.popleft()
             out.append(a)
-            tag = "C"
+            move = None
         elif a < 2 * b:
             dt[0] = b
             db[0] = 2 * b - a
-            tag = "R"
+            move = _R
         elif a == 2 * b:
             dt[0] = b
             db.popleft()
-            tag = "B"
+            move = _B
         else:
             dt[0] = b
             dt.appendleft(a - 2 * b)
             db.popleft()
-            tag = "P"
+            move = _P
         if moves is not None:
-            moves.append(Move("C", a) if tag == "C" else _MOVES[tag])
+            if move is None:
+                move = sized.get(a)
+                if move is None:
+                    move = sized[a] = Move("C", a)
+            moves.append(move)
     return tuple(out)
 
 
@@ -327,7 +346,7 @@ def homotopy_index(h: HomotopyType) -> int:
 
 
 def format_signature(sig: Signature) -> str:
-    return "".join(str(m) for m in sig.moves)
+    return "".join([m._text for m in sig.moves])
 
 
 def parse_signature(text: str) -> Signature:

@@ -41,20 +41,25 @@ def test_edges_trivial_cases():
     assert set(m.bottom_edges) == {(1, 4), (2, 3)}
 
 
-def test_edges_obey_block_sum_rule():
-    # within the block of size a starting after prefix p: j + k = 2p + a + 1
-    st = parse_seaweed_type("3|5|2/4|6")
-    m = build_meander(st)
-    for edges, comp in ((m.top_edges, st.top), (m.bottom_edges, st.bottom)):
-        remaining = set(edges)
-        p = 0
-        for a in comp.parts:
-            for j in range(p + 1, p + 1 + a // 2):
-                k = 2 * p + a + 1 - j
-                assert (j, k) in remaining
-                remaining.discard((j, k))
-            p += a
-        assert not remaining
+def test_edges_obey_block_sum_rule(seeded_pairs):
+    # within the block of size a starting after prefix p: j + k = 2p + a + 1,
+    # and a part of 1 has no arc; many-part sides hold long runs of 1s
+    types = [parse_seaweed_type("3|5|2/4|6"), parse_seaweed_type("1|1|3|1|1/2|1|1|3")]
+    types += seeded_pairs(5150, 20, (8, 1000), (1, 3))
+    assert any(st.top.parts.count(1) > 100 for st in types)
+    for st in types:
+        m = build_meander(st)
+        for edges, comp in ((m.top_edges, st.top), (m.bottom_edges, st.bottom)):
+            remaining = set(edges)
+            assert len(remaining) == len(edges) == sum(a // 2 for a in comp.parts)
+            p = 0
+            for a in comp.parts:
+                for j in range(p + 1, p + 1 + a // 2):
+                    k = 2 * p + a + 1 - j
+                    assert (j, k) in remaining
+                    remaining.discard((j, k))
+                p += a
+            assert not remaining
 
 
 def test_component_summary_examples():
@@ -74,37 +79,40 @@ def test_component_order_is_by_lowest_vertex():
     assert all(list(c) == sorted(c) for c in s.components)
 
 
-def test_components_against_the_edges():
-    # an oracle from the arc lists alone, not from any walk
-    for n in range(1, 8):
-        for st in all_pairs(n):
-            m = build_meander(st)
-            edges = m.top_edges + m.bottom_edges
-            top = dict(m.top_edges + tuple((k, j) for j, k in m.top_edges))
-            bot = dict(m.bottom_edges + tuple((k, j) for j, k in m.bottom_edges))
-            low = list(range(n + 1))  # lowest vertex joined to v, relaxed
-            changed = True
-            while changed:
-                changed = False
-                for j, k in edges:
-                    if low[j] != low[k]:
-                        low[j] = low[k] = min(low[j], low[k])
-                        changed = True
-            s = component_summary(m)
-            flat = [v for comp in s.components for v in comp]
-            assert sorted(flat) == list(range(1, n + 1)), st
-            cycles = 0
-            for comp in s.components:
-                assert list(comp) == sorted(comp), st
-                assert all(low[v] == comp[0] for v in comp), st  # connected
-                for layer in (top, bot):
-                    assert all(layer.get(v, v) in comp for v in comp), st
-                cycles += all(v in top and v in bot for v in comp)
-            assert s.cycles == cycles, st
-            assert s.paths == n - len(edges), st
-            assert s.paths == len(s.components) - cycles, st
-            firsts = [comp[0] for comp in s.components]
-            assert firsts == sorted(firsts), st
+def test_components_against_the_edges(seeded_pairs):
+    # an oracle from the arc lists alone, not from any walk: every pair with
+    # n <= 7, then seeded many-part types, whose runs of parts of 1 leave
+    # isolated vertices and short paths between the larger parts' arcs
+    types = [st for n in range(1, 8) for st in all_pairs(n)]
+    for st in types + seeded_pairs(2009, 40, (8, 200), (1, 3)):
+        n = st.n
+        m = build_meander(st)
+        edges = m.top_edges + m.bottom_edges
+        top = dict(m.top_edges + tuple((k, j) for j, k in m.top_edges))
+        bot = dict(m.bottom_edges + tuple((k, j) for j, k in m.bottom_edges))
+        low = list(range(n + 1))  # lowest vertex joined to v, relaxed
+        changed = True
+        while changed:
+            changed = False
+            for j, k in edges:
+                if low[j] != low[k]:
+                    low[j] = low[k] = min(low[j], low[k])
+                    changed = True
+        s = component_summary(m)
+        flat = [v for comp in s.components for v in comp]
+        assert sorted(flat) == list(range(1, n + 1)), st
+        cycles = 0
+        for comp in s.components:
+            assert list(comp) == sorted(comp), st
+            assert all(low[v] == comp[0] for v in comp), st  # connected
+            for layer in (top, bot):
+                assert all(layer.get(v, v) in comp for v in comp), st
+            cycles += all(v in top and v in bot for v in comp)
+        assert s.cycles == cycles, st
+        assert s.paths == n - len(edges), st
+        assert s.paths == len(s.components) - cycles, st
+        firsts = [comp[0] for comp in s.components]
+        assert firsts == sorted(firsts), st
 
 
 def test_index_examples():
@@ -185,6 +193,15 @@ def test_dimension_examples():
     assert seaweed_dimension(parse_seaweed_type("4|4/2|4|2")) == 27
     assert seaweed_dimension(parse_seaweed_type("1/1")) == 0
     assert seaweed_dimension(parse_seaweed_type("2|4/1|2|3")) == 16
+
+
+def test_dimension_is_the_triangle_sum(large_random_pairs):
+    # the per-part sum of the module docstring against the sum of squares
+    # seaweed_dimension reads it as
+    tri = lambda a: a * (a + 1) // 2
+    for st in [st for n in range(1, 8) for st in all_pairs(n)] + large_random_pairs:
+        want = sum(map(tri, st.top.parts)) + sum(map(tri, st.bottom.parts)) - st.n - 1
+        assert seaweed_dimension(st) == want, st
 
 
 def test_rank():

@@ -1,6 +1,3 @@
-import math
-import random
-
 import pytest
 
 from seaweeds.compositions import (
@@ -144,6 +141,22 @@ def test_homotopy_index_examples():
         homotopy_index(HomotopyType(()))
 
 
+def test_move_text_is_kept_outside_eq_hash_and_repr():
+    assert repr(Move("C", 3)) == "Move(tag='C', size=3)"
+    assert repr(Move("F")) == "Move(tag='F', size=None)"
+    assert Move("C", 3) == Move("C", 3)
+    assert hash(Move("C", 3)) == hash(Move("C", 3))
+    assert Move("C", 3) != Move("C", 4)
+    assert (str(Move("C", 12)), str(Move("P"))) == ("C(12)", "P")
+    # a wound signature shares one object per tag and one per C size
+    sig, _ = wind_down(parse_seaweed_type("1|1|1|2|1|1|1/1|1|1|2|1|1|1"))
+    assert format_signature(sig) == "C(1)C(1)C(1)C(2)C(1)C(1)C(1)"
+    assert len({id(m) for m in sig.moves}) == 2
+    sig, _ = wind_down(parse_seaweed_type("2|4/1|2|3"))
+    assert format_signature(sig) == "BFBFPFRBC(1)"
+    assert len({id(m) for m in sig.moves}) == 5
+
+
 def test_move_validation():
     with pytest.raises(ValueError):
         Move("X")
@@ -228,17 +241,23 @@ def test_same_composition_winds_to_its_parts():
             assert sum(h.components) == n
 
 
-def test_fast_kernel_matches_wind_down():
-    # wind_down runs the kernel itself, so wind down by wind_step objects
-    for n in range(1, 9):
-        for st in all_pairs(n):
-            sizes = []
-            cur = st
-            while cur is not None:
-                move, cur = wind_step(cur)
-                if move.tag == "C":
-                    sizes.append(move.size)
-            assert homotopy_components(st) == tuple(sizes)
+def test_fast_kernel_matches_wind_down(seeded_pairs):
+    # wind_down and homotopy_components run the kernel itself, so wind down
+    # by wind_step objects: every pair with n <= 8, then the regime of the
+    # queries benchmark's tail, thousands of moves on parts of 1 to 3
+    many_part = seeded_pairs(3400, 20, (100, 1000), (1, 3))
+    assert max(st.n for st in many_part) > 700
+    for st in [st for n in range(1, 9) for st in all_pairs(n)] + many_part:
+        moves = []
+        cur = st
+        while cur is not None:
+            move, cur = wind_step(cur)
+            moves.append(move)
+        sig, h = wind_down(st)
+        got = [(m.tag, m.size) for m in sig.moves]
+        assert got == [(m.tag, m.size) for m in moves], str(st)
+        sizes = tuple(m.size for m in moves if m.tag == "C")
+        assert homotopy_components(st) == h.components == sizes, str(st)
 
 
 def test_homotopy_index_matches_graph_index():
@@ -319,19 +338,8 @@ def test_type_key_adds_as_multisets_unite():
                         == _type_key(x + y, b)), (x, y)
 
 
-def _random_composition(rng, n, mean):
-    cuts = [i for i in range(1, n) if rng.random() * mean < 1] + [n]
-    return Composition(tuple(b - a for a, b in zip([0] + cuts, cuts)))
-
-
-def test_homotopy_index_matches_graph_index_on_large_random_pairs():
-    # n log-uniform in [8, 10^4], mean part size log-uniform in [1, 300]
-    rng = random.Random(1012)
-    for _ in range(60):
-        n = round(math.exp(rng.uniform(math.log(8), math.log(10**4))))
-        mean = math.exp(rng.uniform(0, math.log(300)))
-        st = SeaweedType(_random_composition(rng, n, mean),
-                         _random_composition(rng, n, mean))
+def test_homotopy_index_matches_graph_index_on_large_random_pairs(large_random_pairs):
+    for st in large_random_pairs:
         _, h = wind_down(st)
         assert homotopy_index(h) == seaweed_index(st), str(st)
 
