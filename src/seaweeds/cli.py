@@ -111,7 +111,8 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_index(args) -> int:
     st = parse_seaweed_type(args.type)
     summary = component_summary(build_meander(st))
-    print(f"type {st}")
+    # the parser accepts only canonical text, which is str(st) already
+    print(f"type {args.type}")
     print(f"index {summary.index}")
     print(f"dimension {seaweed_dimension(st)}")
     print(f"rank {seaweed_rank(st.n)}")

@@ -12,18 +12,25 @@ pairs is checked row by row by the transfer sweep and the exhaustive path.
 _transfer_rows(n) is the row oracle of verify, and census_cnk(n, workers != 1)
 runs it: one sweep over the vertices 1..n that reads only block arcs, so it
 rests neither on the winding theorem nor on the common-cut lemma.  Each side
-is opening or closing and keeps a stack of open arc ends; each end holds the
-other end of its piece of the meander so far, another open end or dead (a
-vertex with no arc to come).  At a vertex each side opens an arc, closes the
-innermost one or takes none, and the vertex joins its top and bottom pieces:
-closing both ends of one piece finishes a cycle, two dead ends finish a path
-(an isolated vertex too), and otherwise the two far ends become partners.
+is opening or closing, and the open arc ends of both sides lie in one list,
+end = [0, top ends outermost first, bottom ends innermost first]: a top end
+is addressed by its position from the start, a bottom end by its negative
+position from the end, so a side that pushes or pops its innermost end
+moves no other address.  Each end holds the address of the other end of its
+piece of the meander so far: another open end, or 0 for dead (a vertex with
+no arc to come); slot 0 is scratch.  At a vertex each side opens an arc,
+closes the innermost one or takes none, which gives the far end x (top) or
+y (bottom) of its piece at the vertex: the new end, the popped end's
+partner, or 0.  Both sides closing, with the top's popped end pointing at
+the bottom's innermost end, finish a cycle; otherwise the vertex joins its
+two pieces as meander._joins joins path ends, end[x], end[y] = y, x, and
+two dead ends (x == y == 0) finish a path (an isolated vertex too).
 The value of a state is the packed tally of 2*cycles + paths, shifted by 2w
-for a cycle and w for a path (w = 2n bits).  A state with a stack deeper
+for a cycle and w for a path (w = 2n bits).  A state with a side deeper
 than the vertices left is dropped, and a state and its top/bottom mirror
-share one entry.  After vertex m the fresh state (both stacks empty, both
-sides opening) holds row C(m, .), so one sweep gives every row m <= n, with
-no compose; ~1.5x per step of n.
+share one entry.  After vertex m the fresh state (nothing open, both sides
+opening) holds row C(m, .), so one sweep gives every row m <= n, with no
+compose; ~1.5x per step of n.
 
 census_cnk_exhaustive(n) is the graph oracle.  It rests on the common-cut
 lemma: if both compositions cut after the same vertex c < n, no arc crosses
@@ -202,8 +209,8 @@ _OPEN, _MIDDLE, _CLOSE = range(3)
 
 def _side_moves(closing: bool, depth: int, left: int) -> tuple:
     """The moves of one side of the transfer sweep at a vertex, as (move,
-    closing after it), keeping only those that leave at most `left` arcs
-    open, as many as the later vertices can close.
+    depth after, closing after), keeping only those that leave at most
+    `left` arcs open, as many as the later vertices can close.
 
     An opening side opens an arc, closes the innermost one (the middle of an
     even block) or takes none: a block of 1 if no arc is open, else the
@@ -212,29 +219,28 @@ def _side_moves(closing: bool, depth: int, left: int) -> tuple:
     moves.
     """
     if closing:
-        moves = [(_CLOSE, depth > 1)]
-    elif depth:
-        moves = [(_OPEN, False), (_MIDDLE, True), (_CLOSE, depth > 1)]
+        moves = (_CLOSE,)
     else:
-        moves = [(_OPEN, False), (_MIDDLE, False)]
-    return tuple((move, after) for move, after in moves
-                 if depth + (move == _OPEN) - (move == _CLOSE) <= left)
+        moves = (_OPEN, _MIDDLE, _CLOSE) if depth else (_OPEN, _MIDDLE)
+    after = {_OPEN: depth + 1, _MIDDLE: depth, _CLOSE: depth - 1}
+    return tuple((move, after[move], move != _OPEN and after[move] > 0)
+                 for move in moves if after[move] <= left)
 
 
 def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     """Rows C(m, .), m = 1..n, from one left-to-right transfer sweep over
-    the vertices (the module docstring gives its sides and joins).
+    the vertices (the module docstring gives its list of ends and its join).
 
-    A state is (top closing, top ends, bottom closing, bottom ends).  A
-    side's ends are its open arc ends, outermost first, each holding the
-    code of the other end of its piece: i + 1 for top end i, -(j + 1) for
-    bottom end j, 0 for dead.  Its value is the packed tally (2n bits a sum,
-    _unpack_row) of 2*cycles + paths over the finished components.  The
-    mirror of a state (sides swapped, codes negated) has the mirrored
-    successors, so the two tally alike: each vertex folds them into the
-    lesser key with the sum of their tallies, and sweeping that key gives
-    each mirrored pair of successors the sum of theirs.  Row m is the fresh
-    state after vertex m.
+    A state is (top closing, bottom closing, top depth nt, ends), where ends
+    is the list without its scratch slot: top ends ends[:nt] outermost first,
+    then the bottom ends innermost first.  Its value is the packed tally (2n
+    bits a sum, _unpack_row) of 2*cycles + paths over the finished
+    components.  The mirror of a state swaps the sides, which reverses the
+    list and negates each address: (bc, tc, len(ends) - nt, ends reversed
+    and negated).  It has the mirrored successors, so the two tally alike:
+    each vertex folds them into the lesser key with the sum of their
+    tallies, and sweeping that key gives each mirrored pair of successors
+    the sum of theirs.  Row m is the fresh state after vertex m.
 
     No field carries: the prune keeps only states that extend to a full pair
     of n, so the prefixes counted in a field extend to distinct pairs of n,
@@ -242,53 +248,38 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     """
     _check_census_limit(n)
     w = 2 * n
-    fresh = (False, (), False, ())
+    fresh = (False, False, 0, ())
     states = {fresh: 1}
     rows = {}
     for v in range(1, n + 1):
         moves = {(closing, depth): _side_moves(closing, depth, n - v)
                  for closing in (False, True) for depth in range(n + 1)}
         swept = {}
-        for (tc, tp, bc, bp), tally in states.items():
-            nt, nb = len(tp), len(bp)
-            for tmove, tafter in moves[tc, nt]:
-                for bmove, bafter in moves[bc, nb]:
-                    T, B, t = list(tp), list(bp), tally
-                    if tmove == bmove == _CLOSE and T[-1] == -nb:
-                        T.pop()
-                        B.pop()
+        for (tc, bc, nt, ends), tally in states.items():
+            nb = len(ends) - nt
+            for tmove, tdepth, tafter in moves[tc, nt]:
+                for bmove, _, bafter in moves[bc, nb]:
+                    end, t = [0, *ends], tally
+                    x = end.pop(nt) if tmove == _CLOSE else 0
+                    y = end.pop(-nb) if bmove == _CLOSE else 0
+                    if tmove == bmove == _CLOSE and x == -nb:
                         t <<= 2 * w
                     else:
-                        if tmove == _CLOSE:
-                            x = T.pop()
-                        elif tmove == _OPEN:
+                        if tmove == _OPEN:
                             x = nt + 1
-                            T.append(0)
-                        else:
-                            x = 0
-                        if bmove == _CLOSE:
-                            y = B.pop()
-                        elif bmove == _OPEN:
+                            end.insert(x, 0)
+                        if bmove == _OPEN:
                             y = -nb - 1
-                            B.append(0)
-                        else:
-                            y = 0
-                        if x > 0:
-                            T[x - 1] = y
-                        elif x < 0:
-                            B[-x - 1] = y
-                        if y > 0:
-                            T[y - 1] = x
-                        elif y < 0:
-                            B[-y - 1] = x
-                        elif not x:
+                            end.insert(len(end) - nb, 0)
+                        end[x], end[y] = y, x
+                        if x == y == 0:
                             t <<= w
-                    key = (tafter, tuple(T), bafter, tuple(B))
+                    key = (tafter, bafter, tdepth, tuple(end[1:]))
                     swept[key] = swept.get(key, 0) + t
         states = {}
         for key, t in swept.items():
-            tc, tp, bc, bp = key
-            key = min(key, (bc, tuple([-e for e in bp]), tc, tuple([-e for e in tp])))
+            tc, bc, nt, ends = key
+            key = min(key, (bc, tc, len(ends) - nt, tuple([-e for e in reversed(ends)])))
             states[key] = states.get(key, 0) + t
         rows[v] = _unpack_row(states.get(fresh, 0), w)
     return rows

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from seaweeds import cli, enumeration, meander, verify
+from seaweeds.compositions import all_pairs, parse_seaweed_type
 from seaweeds.errors import LimitExceeded
 
 
@@ -28,6 +29,18 @@ def test_index_command(capsys):
         "paths 2",
     ]
     assert err == ""
+
+
+def test_index_echoes_its_argument(capsys):
+    # the parser accepts only canonical text, so `index` prints its argument
+    # as given, and that is the parsed type's own text
+    types = [str(st) for n in range(1, 6) for st in all_pairs(n)]
+    many = "|".join(map(str, range(1, 41)))  # 40 parts of 820
+    types.append(many + "/" + "|".join(["7"] * 117) + "|1")
+    for text in types:
+        code, out, _ = run(capsys, "index", text)
+        assert (code, out.splitlines()[0]) == (0, f"type {text}")
+        assert str(parse_seaweed_type(text)) == text
 
 
 def test_python_dash_m_runs_the_cli(capsys):

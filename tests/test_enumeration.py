@@ -86,6 +86,39 @@ def test_transfer_rows_match_the_exhaustive_rows():
     assert enumeration._transfer_rows(12) == enumeration._exhaustive_rows(12)
 
 
+def test_side_moves_spell_each_composition_once():
+    # one side of the transfer sweep, walked alone from the fresh side with
+    # left = m - v: the walks that end fresh spell each composition of m
+    # once (a part ends wherever the side is fresh again), and the arcs they
+    # make (an open pushes v, a close pops u and makes arc (u, v)) are its
+    # block arcs
+    for m in range(1, 10):
+        walks = [(False, (), (), ())]  # closing, open arc ends, arcs, part ends
+        for v in range(1, m + 1):
+            stepped = []
+            for closing, stack, arcs, ends in walks:
+                moves = enumeration._side_moves(closing, len(stack), m - v)
+                for move, depth, after in moves:
+                    if move == enumeration._OPEN:
+                        walk = (stack + (v,), arcs)
+                    elif move == enumeration._CLOSE:
+                        walk = (stack[:-1], arcs + ((stack[-1], v),))
+                    else:
+                        walk = (stack, arcs)
+                    assert depth == len(walk[0])
+                    fresh = not (after or depth)
+                    stepped.append((after, *walk, ends + (v,) * fresh))
+            walks = stepped
+        spelled = Counter()
+        for closing, stack, arcs, ends in walks:
+            if not (closing or stack):
+                parts = tuple(b - a for a, b in zip((0, *ends), ends))
+                spelled[parts] += 1
+                assert set(arcs) == set(_block_edges(parts)), parts
+        assert spelled == Counter(composition_from_bitmask(m, mask).parts
+                                  for mask in range(1 << (m - 1))), m
+
+
 def test_census_frees_its_memo():
     gc.collect()
     gc.disable()
