@@ -25,12 +25,16 @@ from .errors import LimitExceeded, ParseError, UsageError, check_limit
 # index, wind and render import only what they run: cmd_table imports from
 # enumeration when it runs, and verify is imported by run_suite's first
 # call, so a request compiles neither (nor formulas and genfunc, which they
-# import).  parse_seaweed_type, build_meander, component_summary,
-# seaweed_index, seaweed_dimension, seaweed_rank, wind_down,
-# format_signature and run_suite are module attributes the cmd_* functions
-# resolve when called, because bench/traced.py patches the first eight here
-# and bench/verify_child.py replaces run_suite.  cmd_index reads the index
-# off its component summary; seaweed_index stays importable for the tracer.
+# import).  Besides the package, a request adds only argparse, gettext,
+# locale and __future__ to what a bare CPython 3.11 interpreter has loaded:
+# the value classes build on errors.Frozen, so no request imports inspect
+# (tests/test_imports.py).  parse_seaweed_type, build_meander,
+# component_summary, seaweed_index, seaweed_dimension, seaweed_rank,
+# wind_down, format_signature and run_suite are module attributes the cmd_*
+# functions resolve when called, because bench/traced.py patches the first
+# eight here and bench/verify_child.py replaces run_suite.  cmd_index reads
+# the index off its component summary; seaweed_index stays importable for
+# the tracer.
 from .meander import (
     MAX_RENDER_N,
     build_meander,

@@ -10,10 +10,9 @@ top mask major, bottom mask minor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError, check_limit, read_int
+from .errors import Frozen, ParseError, check_limit, read_int
 
 # A parsed type builds n vertices and up to n arcs (index, wind, render):
 # refuse larger n before any is built.  n = 10^6 takes seconds and a few
@@ -23,19 +22,19 @@ MAX_TYPE_N = 10**6
 _COMPOSITION_RE = re.compile(r"[1-9][0-9]*(?:\|[1-9][0-9]*)*")
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """An ordered sequence of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        object.__setattr__(self, "parts", parts)
+        if not parts:
             raise ValueError("composition needs at least one part")
         # the rule of Move's C size and HomotopyType's components too: an
         # int proper, so that str() prints the decimal the parsers read back
         # (not True, whose str is "True"), and at least 1
-        for p in self.parts:
+        for p in parts:
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
 
@@ -62,18 +61,16 @@ class Composition:
         return mask
 
 
-@dataclass(frozen=True)
-class SeaweedType:
+class SeaweedType(Frozen):
     """A pair of compositions of the same n: top/bottom."""
 
-    top: Composition
-    bottom: Composition
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self):
-        if self.top.n != self.bottom.n:
-            raise ValueError(
-                f"top sums to {self.top.n} but bottom sums to {self.bottom.n}"
-            )
+    def __init__(self, top: Composition, bottom: Composition):
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        if top.n != bottom.n:
+            raise ValueError(f"top sums to {top.n} but bottom sums to {bottom.n}")
 
     @property
     def n(self) -> int:

@@ -93,13 +93,12 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
 from .compositions import all_pairs, composition_from_bitmask
 from .declarations import LIMITS, TABLES, limit
-from .errors import UsageError, check_limit
+from .errors import Frozen, UsageError, check_limit
 from .formulas import gcd_index_2parts, gcd_index_3parts
 from .meander import _block_edges, _joins, seaweed_index
 from .winding import (HomotopyType, _key_components, _move_table, _wind_tally,
@@ -352,8 +351,8 @@ def _count(v: int) -> int:
     """The one int object of count v, shared by every row as the keys are.
 
     Counts past 256 are fresh 32-byte ints otherwise, 10 of the 58 of n = 8:
-    a kept row then holds ~2.6 KB, ~2.3 KB with shared counts (tracemalloc),
-    and the `homotopy` benchmark keeps every row it computes.
+    a kept row then holds ~2.6 KB, ~2.3 KB with shared counts (tracemalloc,
+    CPython 3.11), and the `homotopy` benchmark keeps every row it computes.
     """
     return v
 
@@ -364,11 +363,11 @@ def _keyed_type(key: int, b: int) -> HomotopyType:
     (winding._type_key), shared by every row with that key: a row decodes
     each of its keys once a process.
 
-    A kept row of n = 8 (58 types) holds ~11 KB when each key is a fresh
-    HomotopyType and tuple, ~2.6 KB when the keys are shared (tracemalloc),
-    so a caller that keeps many rows pays ~4x for fresh ones.  The cache
-    holds one entry a multiset of sum <= n and digit width b: a few hundred
-    for every n the default census limit allows.
+    A kept row of n = 8 (58 types) holds ~13 KB when each key is a fresh
+    HomotopyType and tuple, ~2.6 KB when the keys are shared (tracemalloc,
+    CPython 3.11), so a caller that keeps many rows pays ~5x for fresh
+    ones.  The cache holds one entry a multiset of sum <= n and digit width
+    b: a few hundred for every n the default census limit allows.
     """
     return HomotopyType(_key_components(key, b))
 
@@ -389,16 +388,16 @@ def homotopy_census(n: int) -> dict[HomotopyType, int]:
 
 # --- tables and golden data --------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexTable:
+class IndexTable(Frozen):
     """Rows n -> (k -> count), zero cells omitted."""
 
-    kind: str
-    rows: dict[int, dict[int, int]]
+    __slots__ = ("kind", "rows")
 
-    def __post_init__(self):
-        if self.kind not in TABLES:
-            raise ValueError(f"unknown table kind {self.kind!r}")
+    def __init__(self, kind: str, rows: dict[int, dict[int, int]]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rows", rows)
+        if kind not in TABLES:
+            raise ValueError(f"unknown table kind {kind!r}")
 
     def n_range(self) -> tuple[int, int]:
         return min(self.rows), max(self.rows)

@@ -17,8 +17,9 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .errors import Frozen
 
 
 def c_diag1(n: int) -> int:
@@ -178,14 +179,17 @@ def identity_k2_2k_fitted(n: int) -> int:
     return (n - 3) * (1 << n) + n + 3
 
 
-@dataclass(frozen=True)
-class IdentityAuditRow:
-    n: int
-    lhs: int
-    rhs_stated: int
-    stated_ok: bool
-    rhs_fitted: int
-    fitted_ok: bool
+class IdentityAuditRow(Frozen):
+    __slots__ = ("n", "lhs", "rhs_stated", "stated_ok", "rhs_fitted", "fitted_ok")
+
+    def __init__(self, n: int, lhs: int, rhs_stated: int, stated_ok: bool,
+                 rhs_fitted: int, fitted_ok: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs_stated", rhs_stated)
+        object.__setattr__(self, "stated_ok", stated_ok)
+        object.__setattr__(self, "rhs_fitted", rhs_fitted)
+        object.__setattr__(self, "fitted_ok", fitted_ok)
 
 
 def identity_audit(n_max: int = 30) -> list[IdentityAuditRow]:

@@ -15,9 +15,8 @@ The three built-in generating functions expand to the diagonal counts:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError, read_int
+from .errors import Frozen, ParseError, read_int
 
 Poly = tuple[int, ...]
 
@@ -64,14 +63,12 @@ def poly_pow(p: Poly, e: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    numerator: Poly
-    denominator: Poly
+class RationalGF(Frozen):
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", poly_trim(self.numerator))
-        object.__setattr__(self, "denominator", poly_trim(self.denominator))
+    def __init__(self, numerator: Poly, denominator: Poly):
+        object.__setattr__(self, "numerator", poly_trim(numerator))
+        object.__setattr__(self, "denominator", poly_trim(denominator))
         if not self.denominator or self.denominator[0] != 1:
             raise ValueError("denominator must have constant term 1")
 

@@ -26,10 +26,10 @@ the CLI's `index` reports it, and the tests hold the join against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .compositions import SeaweedType
+from .errors import Frozen
 
 
 def _block_edges(parts: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -44,20 +44,27 @@ def _block_edges(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
-class Meander:
+class Meander(Frozen):
     """n vertices (1-based) plus the arcs above and below the line."""
 
-    n: int
-    top_edges: tuple[tuple[int, int], ...]
-    bottom_edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "top_edges", "bottom_edges")
+
+    def __init__(self, n: int, top_edges: tuple[tuple[int, int], ...],
+                 bottom_edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "top_edges", top_edges)
+        object.__setattr__(self, "bottom_edges", bottom_edges)
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    cycles: int
-    paths: int
-    components: tuple[tuple[int, ...], ...]  # sorted vertices, discovery order
+class ComponentSummary(Frozen):
+    __slots__ = ("cycles", "paths", "components")
+
+    def __init__(self, cycles: int, paths: int,
+                 components: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "paths", paths)
+        # sorted vertices, discovery order
+        object.__setattr__(self, "components", components)
 
     @property
     def index(self) -> int:

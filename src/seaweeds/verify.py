@@ -19,7 +19,6 @@ a tracer does) is what runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 
 from .compositions import Composition, SeaweedType, composition_from_bitmask
@@ -31,7 +30,7 @@ from .enumeration import (
     census_c22,
     load_golden,
 )
-from .errors import LimitExceeded
+from .errors import Frozen, LimitExceeded
 from .formulas import (
     DIAGONALS,
     c21,
@@ -78,18 +77,22 @@ WINDING_MAX_N = 10
 WINDING_MAX_PART = 24
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(Frozen):
+    __slots__ = ("name", "passed", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed", elapsed)
 
 
-@dataclass(frozen=True)
-class VerifySuiteReport:
-    suite: str
-    checks: tuple[CheckResult, ...]
+class VerifySuiteReport(Frozen):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

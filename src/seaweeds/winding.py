@@ -51,40 +51,39 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
 
 from .compositions import Composition, SeaweedType
-from .errors import ParseError, read_int
+from .errors import Frozen, ParseError, read_int
 
 _SIG_TOKEN = re.compile(r"[FRBP]|C\((\d+)\)")
 
 
-@dataclass(frozen=True)
-class Move:
-    tag: str  # one of F C R B P
-    size: int | None = None  # recorded component, C only
-    _text: str = field(init=False, repr=False, compare=False)
+class Move(Frozen):
+    __slots__ = ("tag", "size", "_text")
 
-    def __post_init__(self):
-        if self.tag not in ("F", "C", "R", "B", "P"):
-            raise ValueError(f"unknown move tag {self.tag!r}")
-        if (self.tag == "C") != (self.size is not None):
+    def __init__(self, tag: str, size: int | None = None):
+        object.__setattr__(self, "tag", tag)  # one of F C R B P
+        object.__setattr__(self, "size", size)  # recorded component, C only
+        if tag not in ("F", "C", "R", "B", "P"):
+            raise ValueError(f"unknown move tag {tag!r}")
+        if (tag == "C") != (size is not None):
             raise ValueError("size goes with C moves and only with them")
-        if self.tag == "C" and (type(self.size) is not int or self.size < 1):
-            raise ValueError(f"C size must be a positive integer, got {self.size!r}")
-        object.__setattr__(self, "_text",
-                           f"C({self.size})" if self.tag == "C" else self.tag)
+        if tag == "C" and (type(size) is not int or size < 1):
+            raise ValueError(f"C size must be a positive integer, got {size!r}")
+        object.__setattr__(self, "_text", f"C({size})" if tag == "C" else tag)
 
     def __str__(self) -> str:
         return self._text
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """The full move sequence produced by winding a type down to nothing."""
 
-    moves: tuple[Move, ...]
+    __slots__ = ("moves",)
+
+    def __init__(self, moves: tuple[Move, ...]):
+        object.__setattr__(self, "moves", moves)
 
     def __str__(self) -> str:
         return format_signature(self)
@@ -93,18 +92,17 @@ class Signature:
         return HomotopyType(tuple(m.size for m in self.moves if m.tag == "C"))
 
 
-@dataclass(frozen=True)
-class HomotopyType:
+class HomotopyType(Frozen):
     """Recorded C-values in elimination order; equality is as multisets."""
 
-    components: tuple[int, ...]
-    _canonical: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "_canonical")
 
-    def __post_init__(self):
-        for c in self.components:
+    def __init__(self, components: tuple[int, ...]):
+        object.__setattr__(self, "components", components)
+        for c in components:
             if type(c) is not int or c < 1:
                 raise ValueError("components must be positive")
-        object.__setattr__(self, "_canonical", tuple(sorted(self.components)))
+        object.__setattr__(self, "_canonical", tuple(sorted(components)))
 
     def canonical(self) -> tuple[int, ...]:
         return self._canonical

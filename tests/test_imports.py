@@ -1,5 +1,6 @@
 """The package's import boundary: lazy exports and an import-light CLI."""
 
+import functools
 import json
 import os
 import subprocess
@@ -52,10 +53,16 @@ EXPORTS = {
 HEAVY = ("seaweeds.enumeration", "seaweeds.verify", "seaweeds.formulas",
          "seaweeds.genfunc")
 
+# Stdlib modules no request may load: dataclasses imports inspect, which
+# imports ast, dis, tokenize and linecache.
+SLOW_STDLIB = ("dataclasses", "inspect")
+
 # In a fresh interpreter: the heavy modules loaded after the three light
-# requests, then after a table.
+# requests, then after a table; and every module the package and all five
+# requests added to those loaded before it (so that no site hook counts).
 BOUNDARY_PROBE = f"""\
 import contextlib, io, json, sys
+before = set(sys.modules)
 import seaweeds.cli as cli
 loaded, codes = [], []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -64,7 +71,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded.append([m for m in {HEAVY!r} if m in sys.modules])
     codes.append(cli.main(["table", "c21", "--max-n", "3"]))
     loaded.append([m for m in {HEAVY!r} if m in sys.modules])
-print(json.dumps({{"codes": codes, "loaded": loaded}}))
+    codes.append(cli.main(["verify", "recursion"]))
+added = sorted(set(sys.modules) - before)
+print(json.dumps({{"codes": codes, "loaded": loaded, "added": added}}))
 """
 
 
@@ -78,14 +87,25 @@ def fresh(code: str) -> dict:
     return json.loads(proc.stdout)
 
 
+@functools.cache
+def boundary() -> dict:
+    return fresh(BOUNDARY_PROBE)
+
+
 def test_light_requests_leave_the_heavy_modules_unloaded():
-    result = fresh(BOUNDARY_PROBE)
-    assert result["codes"] == [0, 0, 0, 0]
+    result = boundary()
+    assert result["codes"] == [0, 0, 0, 0, 0]
     after_light, after_table = result["loaded"]
     assert after_light == []
     # a table runs enumeration (and formulas, which it imports), not verify
     assert "seaweeds.enumeration" in after_table
     assert "seaweeds.verify" not in after_table
+
+
+def test_no_request_imports_inspect():
+    added = boundary()["added"]
+    assert "seaweeds.verify" in added  # the probe ran every kind of request
+    assert [m for m in SLOW_STDLIB if m in added] == []
 
 
 def test_reading_a_name_loads_its_module():
