@@ -68,8 +68,7 @@ def build_parser(limits: tuple[int, ...]) -> argparse.ArgumentParser:
         ),
         epilog=(
             "Type grammar: a composition is parts joined by '|' (e.g. 2|4); "
-            "a type is top/bottom (e.g. 2|4/1|2|3). Polynomials print as "
-            f"ascending powers like 6x^3-10x^4. Environment: {environment}."
+            f"a type is top/bottom (e.g. 2|4/1|2|3). Environment: {environment}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,10 +85,6 @@ def build_parser(limits: tuple[int, ...]) -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None,
                    help=f"largest n row (defaults: {defaults})")
     p.add_argument("--format", choices=["csv", "json", "md"], default="csv")
-    p.add_argument("--oracle", choices=["gcd", "meander"], default="gcd",
-                   help="index oracle for c22 tables")
-    p.add_argument("--workers", type=int, default=1,
-                   help="cnk: N > 1 cross-checks the recurrence by the transfer sweep")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--check-golden", action="store_true",
                    help="compare against the shipped reference table")
@@ -137,7 +132,7 @@ def cmd_table(args) -> int:
     from .enumeration import build_table, diff_golden, load_golden
 
     max_n = args.max_n if args.max_n is not None else TABLES[args.kind].max_n
-    table = build_table(args.kind, max_n, oracle=args.oracle, workers=args.workers)
+    table = build_table(args.kind, max_n)
     if args.check_golden:
         golden = load_golden(args.kind)
         problems = diff_golden(table, golden)

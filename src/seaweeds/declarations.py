@@ -1,10 +1,11 @@
 """What the command line lists on every call: limits, table kinds, suites.
 
-LIMITS holds each limit an environment variable overrides (read by
-limit(name)), TABLES each table kind, and SUITES each verify suite.  Each
-is declared here once: enumeration and verify import them from here, and
-the CLI builds its --help, its kind and suite choices and its --max-n text
-from them without importing either of those modules.  So this module
+LIMITS holds each limit an environment variable overrides, read by
+limit(name): the full-pair census bound is the one such limit, and every
+other is fixed.  TABLES holds each table kind, and SUITES each verify suite.
+Each is declared here once: enumeration and verify import them from here,
+and the CLI builds its --help, its kind and suite choices and its --max-n
+text from them without importing either of those modules.  So this module
 imports only errors and the standard library.
 """
 
@@ -28,9 +29,6 @@ class Limit(NamedTuple):
 LIMITS = {
     "census": Limit(
         "SEAWEEDS_CENSUS_LIMIT", 14, "bounds full-pair censuses", "census at"),
-    "c22_meander": Limit(
-        "SEAWEEDS_C22_MEANDER_LIMIT", 50, "bounds the two-over-two meander oracle",
-        "c22 meander oracle at"),
 }
 
 

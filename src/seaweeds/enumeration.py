@@ -77,21 +77,20 @@ n costs ~1.8x.  Types also add at common cuts, H(T1T2/B1B2) = H(T1/B1) +
 H(T2/B2), as test_homotopy_common_cut_lemma checks; the recurrence does not
 rest on it.
 
-Limits guard the 3x- to 4x-per-step cost of the exhaustive paths.  Each one
-a variable overrides is an entry of LIMITS, read by limit(name) and refused
-by _check_limit(name, n); _check_census_limit is the one guard of every
-full-pair census.  Tables of c21 and c22 stop at n = GCD_TABLE_MAX_N.  Every
-limit is refused by errors.check_limit.  Each table kind is an entry of
-TABLES.  LIMITS, limit and TABLES are declared in the light module
-declarations and imported here, so the CLI's --help lists both without
-importing this module.
+Limits guard the 3x- to 4x-per-step cost of the exhaustive paths.
+_check_census_limit is the one guard of every full-pair census: it refuses
+n past limit("census"), the one entry of LIMITS, which a variable
+overrides.  census_c22, by either oracle, and the tables of c21 and c22 stop
+at n = GCD_TABLE_MAX_N.  Every limit is refused by errors.check_limit.  Each
+table kind is an entry of TABLES.  LIMITS, limit and TABLES are declared in
+the light module declarations and imported here, so the CLI's --help lists
+both without importing this module.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from functools import cache
 from importlib import resources
@@ -104,19 +103,17 @@ from .meander import _block_edges, _joins, seaweed_index
 from .winding import (HomotopyType, _key_components, _move_table, _wind_tally,
                       _wind_types)
 
-# c21 and c22 tables: a c22 row costs (n-1)^2 gcds and its table n^2 CSV
-# lines, so the table to this n takes a few seconds.
+# c21 and c22 tables, and census_c22: a c22 row costs (n-1)^2 gcds or joins
+# (at n = 300 ~0.02 s or ~1 s, CPython 3.11 on 2 vCPUs), and its table n^2
+# CSV lines, so the table to this n takes a few seconds.
 GCD_TABLE_MAX_N = 300
-
-
-def _check_limit(name: str, n: int) -> None:
-    check_limit(LIMITS[name].subject, n, limit(name), LIMITS[name].env)
 
 
 def _check_census_limit(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_limit("census", n)
+    census = LIMITS["census"]
+    check_limit(census.subject, n, limit("census"), census.env)
 
 
 def _check_workers(workers: int) -> None:
@@ -167,18 +164,11 @@ def census_cnk(n: int, workers: int = 1) -> dict[int, int]:
 
     With one worker it is computed by the winding-down recurrence, whose
     memo lives only for this call.  Any other worker count asks instead for
-    the transfer sweep (_transfer_rows), the independent cross-check, as in
-    `table cnk --workers N`; both run in the calling process.  Fewer than
-    one worker is a UsageError, as in build_table.
+    the transfer sweep (_transfer_rows), the independent cross-check; both
+    run in the calling process.  Fewer than one worker is a UsageError.
     """
     _check_workers(workers)
-    return _cnk_rows(n, workers)[n]
-
-
-def _cnk_rows(n: int, workers: int) -> dict[int, dict[int, int]]:
-    """Rows C(m, .), m = 1..n: the recurrence's for one worker, else the
-    transfer sweep's."""
-    return _recurrence_rows(n) if workers == 1 else _transfer_rows(n)
+    return (_recurrence_rows(n) if workers == 1 else _transfer_rows(n))[n]
 
 
 def _recurrence_rows(n: int) -> dict[int, dict[int, int]]:
@@ -331,16 +321,17 @@ def census_c22(n: int, oracle: str = "gcd") -> dict[int, int]:
 
     oracle "gcd" uses formulas.gcd_index_3parts(a, n-a, c); oracle "meander"
     builds the arcs of the n-1 compositions once and joins them by
-    meander._joins under each top, seeded once (bounded by LIMITS).
+    meander._joins under each top, seeded once.  Either refuses n past
+    GCD_TABLE_MAX_N before its first pair.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_limit("c22 census at", n, GCD_TABLE_MAX_N)
     firsts = range(1, n)
     if oracle == "gcd":
         return Counter(gcd_index_3parts(a, n - a, c) for a in firsts for c in firsts)
     if oracle != "meander":
         raise ValueError(f"unknown oracle {oracle!r}")
-    _check_limit("c22_meander", n)
     comps = [(a, n - a) for a in firsts]
     bottoms = [_block_edges(c) for c in comps]
     return Counter(val - 1 for top in comps for _, val in _joins(top, bottoms))
@@ -419,6 +410,8 @@ class IndexTable(Frozen):
         return out.getvalue()
 
     def to_json(self) -> str:
+        import json  # only --format json needs it
+
         rows = {
             str(n): {str(k): v for k, v in sorted(self.rows[n].items())}
             for n in sorted(self.rows)
@@ -459,22 +452,17 @@ def table_from_csv(kind: str, text: str) -> IndexTable:
     return IndexTable(kind, rows)
 
 
-def build_table(
-    kind: str, max_n: int, oracle: str = "gcd", workers: int = 1
-) -> IndexTable:
+def build_table(kind: str, max_n: int) -> IndexTable:
+    """Rows min_n..max_n of a table kind: cnk from one winding recurrence,
+    c21 and c22 by gcd, each refused past its limit before the first row."""
     min_n = TABLES[kind].min_n
     if max_n < min_n:
         raise UsageError(f"max_n must be >= {min_n} for {kind}")
-    _check_workers(workers)
     if kind == "cnk":
-        return IndexTable(kind, _cnk_rows(max_n, workers))
-    # fail fast before any row is computed
-    if kind == "c22" and oracle == "meander":
-        _check_limit("c22_meander", max_n)
+        return IndexTable(kind, _recurrence_rows(max_n))
     check_limit(f"table {kind} to", max_n, GCD_TABLE_MAX_N)
-    rows = {n: census_c21(n) if kind == "c21" else census_c22(n, oracle=oracle)
-            for n in range(min_n, max_n + 1)}
-    return IndexTable(kind, rows)
+    census = census_c21 if kind == "c21" else census_c22
+    return IndexTable(kind, {n: census(n) for n in range(min_n, max_n + 1)})
 
 
 def load_golden(kind: str) -> IndexTable:

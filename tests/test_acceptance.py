@@ -46,7 +46,7 @@ def _report(capsys, num: int, slug: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_index_table_regenerated(capsys):
     t0 = time.perf_counter()
-    code = cli.main(["table", "cnk", "--max-n", "10", "--check-golden", "--workers", "1"])
+    code = cli.main(["table", "cnk", "--max-n", "10", "--check-golden"])
     elapsed = time.perf_counter() - t0
     golden = load_golden("cnk")
     spots = golden.cell(9, 3) == 17596 and golden.cell(10, 4) == 63380

@@ -88,7 +88,6 @@ def test_index_part_too_long(capsys):
 
 def test_parser_built_once_per_limits(capsys, monkeypatch):
     monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
-    monkeypatch.delenv("SEAWEEDS_C22_MEANDER_LIMIT", raising=False)
     cli.build_parser.cache_clear()
     for _ in range(5):
         assert run(capsys, "index", "2|4/1|2|3")[0] == 0
@@ -109,7 +108,9 @@ def test_parser_built_once_per_limits(capsys, monkeypatch):
 def test_help_lists_the_limits_and_table_kinds(capsys, monkeypatch, census, c22):
     # the environment sentence and the --max-n help are joined from
     # enumeration.LIMITS and enumeration.TABLES; argparse wraps them
-    # differently across versions, so whitespace is normalised
+    # differently across versions and widths, so whitespace is normalised
+    # and a line broken after a hyphen is joined.  c22 sets the retired
+    # SEAWEEDS_C22_MEANDER_LIMIT, which nothing reads or lists
     for var, value in (("SEAWEEDS_CENSUS_LIMIT", census),
                        ("SEAWEEDS_C22_MEANDER_LIMIT", c22)):
         if value is None:
@@ -121,16 +122,16 @@ def test_help_lists_the_limits_and_table_kinds(capsys, monkeypatch, census, c22)
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--help"])
         assert exc.value.code == 0
-        return " ".join(capsys.readouterr().out.split())
+        return " ".join(capsys.readouterr().out.split()).replace("- ", "-")
 
     text = help_text()
     assert text[text.index("Environment:"):] == (
         f"Environment: SEAWEEDS_CENSUS_LIMIT bounds full-pair censuses "
-        f"(default {census or 14}), SEAWEEDS_C22_MEANDER_LIMIT bounds the "
-        f"two-over-two meander oracle (default {c22 or 50}).")
+        f"(default {census or 14}).")
     text = help_text("table")
     assert "--max-n MAX_N largest n row (defaults: cnk 10, c21 12, c22 11) " in text
     assert "positional arguments: {cnk,c21,c22} " in text
+    assert "--oracle" not in text and "--workers" not in text
 
 
 def test_index_walks_the_meander_once(capsys, monkeypatch):
@@ -206,23 +207,24 @@ def test_table_check_golden_reports_a_mismatch(capsys, monkeypatch):
 
 def test_table_over_limit(capsys, monkeypatch):
     monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
-    for workers in ("1", "2"):
-        code, out, err = run(capsys, "table", "cnk", "--max-n", "20",
-                             "--workers", workers)
-        assert (code, out) == (3, "")
-        assert err == ("error: census at n=20 exceeds the limit n <= 14 "
-                       "(set SEAWEEDS_CENSUS_LIMIT to override)\n")
+    code, out, err = run(capsys, "table", "cnk", "--max-n", "20")
+    assert (code, out) == (3, "")
+    assert err == ("error: census at n=20 exceeds the limit n <= 14 "
+                   "(set SEAWEEDS_CENSUS_LIMIT to override)\n")
 
 
-def test_table_c22_meander_over_limit(capsys, monkeypatch):
-    monkeypatch.delenv("SEAWEEDS_C22_MEANDER_LIMIT", raising=False)
-    with pytest.raises(LimitExceeded) as e:
-        enumeration.census_c22(51, "meander")
-    code, out, err = run(capsys, "table", "c22", "--oracle", "meander",
-                         "--max-n", "51")
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ["cnk", "--workers", "2"], ["c22", "--oracle", "meander"]])
+def test_table_removed_options(capsys, monkeypatch, argv):
+    # a table is built one way: an option that chose another is a usage
+    # error, refused before any row
+    monkeypatch.setattr(enumeration, "build_table", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {e.value}\n"
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 @pytest.mark.parametrize("kind", ["c21", "c22"])
@@ -249,7 +251,7 @@ def test_table_max_n_below_minimum(capsys, kind, max_n):
     assert err.startswith("error: max_n must be >=")
 
 
-@pytest.mark.parametrize("var", ["SEAWEEDS_CENSUS_LIMIT", "SEAWEEDS_C22_MEANDER_LIMIT"])
+@pytest.mark.parametrize("var", ["SEAWEEDS_CENSUS_LIMIT"])
 def test_bad_limit_env(capsys, monkeypatch, var):
     monkeypatch.setenv(var, "abc")
     for argv in (["index", "2|1/3"], ["table", "cnk", "--max-n", "3"]):
@@ -257,28 +259,6 @@ def test_bad_limit_env(capsys, monkeypatch, var):
         assert code == 2
         assert out == ""
         assert err == f"error: {var} must be an integer, got 'abc'\n"
-
-
-def test_table_workers_without_fork(capsys, monkeypatch):
-    # no census forks: where os.fork is missing, --workers 2 prints the
-    # table of --workers 1
-    monkeypatch.delattr(os, "fork")
-    code, out, err = run(capsys, "table", "cnk", "--max-n", "6", "--workers", "2")
-    assert (code, err) == (0, "")
-    assert out == run(capsys, "table", "cnk", "--max-n", "6", "--workers", "1")[1]
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_table_workers_below_one(capsys, monkeypatch, workers):
-    def no_row(n, workers=1):
-        raise AssertionError("a row was computed")
-
-    monkeypatch.setattr(enumeration, "census_cnk", no_row)
-    code, out, err = run(capsys, "table", "cnk", "--max-n", "4",
-                         "--workers", workers)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
 def test_verify_winding_reports_a_same_composition_fault(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import gc
 import json
-import os
 from collections import Counter
 from functools import cache
 
@@ -212,17 +211,10 @@ def test_mirrored_tops_have_one_index_multiset():
             assert sorted(_joined(m, t)) == sorted(_joined(m, r)), (m, t)
 
 
-def test_census_without_fork_runs_every_worker_count(monkeypatch):
-    # no census forks: where os.fork is missing, more than one worker still
-    # gives the row
-    monkeypatch.delattr(os, "fork")
-    assert census_cnk(8, workers=2) == census_cnk(8, workers=1)
-
-
 @pytest.mark.parametrize("census, workers", [
     (census_cnk, 0), (census_cnk, -2)])
 def test_census_workers_below_one(monkeypatch, census, workers):
-    # the library refuses the worker counts build_table refuses, before a row
+    # the library refuses fewer than one worker, before a row
     def no_rows(*args):
         raise AssertionError("a row was computed")
 
@@ -421,21 +413,22 @@ def test_census_guard(monkeypatch, census):
                             "(set SEAWEEDS_CENSUS_LIMIT to override)")
 
 
-def test_c22_meander_limit_env(monkeypatch):
-    monkeypatch.setenv("SEAWEEDS_C22_MEANDER_LIMIT", "6")
-    census_c22(6, oracle="meander")
-    with pytest.raises(LimitExceeded) as direct:
-        census_c22(7, oracle="meander")
-    census_c22(7, oracle="gcd")  # only the quadratic meander path is limited
-    # a table checks its last row before it computes the first, with the
-    # same message
-    rows = []
-    monkeypatch.setattr(enumeration, "census_c22",
-                        lambda n, oracle: rows.append(n) or {})
-    with pytest.raises(LimitExceeded) as table:
-        build_table("c22", 7, oracle="meander")
-    assert str(table.value) == str(direct.value)
-    assert rows == []
+@pytest.mark.parametrize("oracle", ["gcd", "meander"])
+def test_census_c22_limit(monkeypatch, oracle):
+    # either oracle refuses n past the table bound before any gcd or join,
+    # and runs at the bound
+    bound = enumeration.GCD_TABLE_MAX_N
+
+    def no_pairs(*args):
+        raise AssertionError("a pair was computed")
+
+    with monkeypatch.context() as m:
+        for name in ("gcd_index_3parts", "_joins"):
+            m.setattr(enumeration, name, no_pairs)
+        with pytest.raises(LimitExceeded) as e:
+            census_c22(bound + 1, oracle)
+    assert str(e.value) == f"c22 census at n={bound + 1} exceeds the limit n <= {bound}"
+    assert sum(census_c22(bound, oracle).values()) == (bound - 1) ** 2
 
 
 def test_table_csv_round_trip():

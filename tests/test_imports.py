@@ -108,6 +108,20 @@ def test_no_request_imports_inspect():
     assert [m for m in SLOW_STDLIB if m in added] == []
 
 
+def test_csv_table_and_verify_leave_json_unloaded():
+    # only IndexTable.to_json imports json; BOUNDARY_PROBE imports it itself,
+    # so this probe prints its list of module names without it
+    loaded = fresh(
+        "import contextlib, io, sys\n"
+        "import seaweeds.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['table', 'c21', '--max-n', '3']),\n"
+        "             cli.main(['verify', 'recursion'])]\n"
+        "json = sorted(m for m in sys.modules if m.split('.')[0] in ('json', '_json'))\n"
+        "print(repr([codes, json]).replace(\"'\", '\"'))\n")
+    assert loaded == [[0, 0], []]
+
+
 def test_reading_a_name_loads_its_module():
     loaded = fresh(
         "import json, sys\n"
