@@ -28,9 +28,11 @@ two dead ends (x == y == 0) finish a path (an isolated vertex too).
 The value of a state is the packed tally of 2*cycles + paths, shifted by 2w
 for a cycle and w for a path (w = 2n bits).  A state with a side deeper
 than the vertices left is dropped, and a state and its top/bottom mirror
-share one entry.  After vertex m the fresh state (nothing open, both sides
-opening) holds row C(m, .), so one sweep gives every row m <= n, with no
-compose; ~1.5x per step of n.
+share one entry: each successor goes under the lesser of the two keys as it
+is made, the closing flags and then the side depths deciding which, and the
+mirrored ends built only when they do not.  After vertex m the fresh state
+(nothing open, both sides opening) holds row C(m, .), so one sweep gives
+every row m <= n, with no compose; ~1.5x per step of n.
 
 census_cnk_exhaustive(n) is the graph oracle.  It rests on the common-cut
 lemma: if both compositions cut after the same vertex c < n, no arc crosses
@@ -226,10 +228,14 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     bits a sum, _unpack_row) of 2*cycles + paths over the finished
     components.  The mirror of a state swaps the sides, which reverses the
     list and negates each address: (bc, tc, len(ends) - nt, ends reversed
-    and negated).  It has the mirrored successors, so the two tally alike:
-    each vertex folds them into the lesser key with the sum of their
-    tallies, and sweeping that key gives each mirrored pair of successors
-    the sum of theirs.  Row m is the fresh state after vertex m.
+    and negated).  It has the mirrored successors, so the two tally alike
+    and share the lesser key: a vertex adds each successor's tally under the
+    lesser of its key and its mirror's as it is made, and sweeping that key
+    gives each mirrored pair of successors the sum of theirs.  The lesser
+    key is the one whose top is opening while the bottom closes; with equal
+    flags, the one with the shallower top; only with equal depths too are
+    the ends reversed, negated and compared.  Row m is the fresh state after
+    vertex m.
 
     No field carries: the prune keeps only states that extend to a full pair
     of n, so the prefixes counted in a field extend to distinct pairs of n,
@@ -241,13 +247,14 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
     states = {fresh: 1}
     rows = {}
     for v in range(1, n + 1):
+        # the previous prune left no side deeper than n - v + 1
         moves = {(closing, depth): _side_moves(closing, depth, n - v)
-                 for closing in (False, True) for depth in range(n + 1)}
+                 for closing in (False, True) for depth in range(n - v + 2)}
         swept = {}
         for (tc, bc, nt, ends), tally in states.items():
             nb = len(ends) - nt
             for tmove, tdepth, tafter in moves[tc, nt]:
-                for bmove, _, bafter in moves[bc, nb]:
+                for bmove, bdepth, bafter in moves[bc, nb]:
                     end, t = [0, *ends], tally
                     x = end.pop(nt) if tmove == _CLOSE else 0
                     y = end.pop(-nb) if bmove == _CLOSE else 0
@@ -263,13 +270,15 @@ def _transfer_rows(n: int) -> dict[int, dict[int, int]]:
                         end[x], end[y] = y, x
                         if x == y == 0:
                             t <<= w
-                    key = (tafter, bafter, tdepth, tuple(end[1:]))
+                    if tafter < bafter or tafter == bafter and tdepth < bdepth:
+                        key = (tafter, bafter, tdepth, tuple(end[1:]))
+                    elif tafter > bafter or tdepth > bdepth:
+                        key = (bafter, tafter, bdepth, tuple([-e for e in end[:0:-1]]))
+                    else:
+                        key = (tafter, bafter, tdepth,
+                               min(tuple(end[1:]), tuple([-e for e in end[:0:-1]])))
                     swept[key] = swept.get(key, 0) + t
-        states = {}
-        for key, t in swept.items():
-            tc, bc, nt, ends = key
-            key = min(key, (bc, tc, len(ends) - nt, tuple([-e for e in reversed(ends)])))
-            states[key] = states.get(key, 0) + t
+        states = swept
         rows[v] = _unpack_row(states.get(fresh, 0), w)
     return rows
 

@@ -85,6 +85,29 @@ def test_transfer_rows_match_the_exhaustive_rows():
     assert enumeration._transfer_rows(12) == enumeration._exhaustive_rows(12)
 
 
+def test_transfer_rows_of_every_sweep_length():
+    # each length n prunes against its own n - v: every sweep to n <= 14
+    # gives the recurrence's rows m <= n
+    rows = enumeration._recurrence_rows(14)
+    for n in range(1, 15):
+        assert enumeration._transfer_rows(n) == {m: rows[m] for m in range(1, n + 1)}, n
+
+
+def test_transfer_move_tables_stop_at_the_prune(monkeypatch):
+    # after vertex v - 1 no side is deeper than the n - v + 1 vertices then
+    # left, so vertex v asks for the moves of sides that deep, and no deeper
+    calls = []
+    side_moves = enumeration._side_moves
+
+    def recorded(closing, depth, left):
+        calls.append((depth, left))
+        return side_moves(closing, depth, left)
+
+    monkeypatch.setattr(enumeration, "_side_moves", recorded)
+    enumeration._transfer_rows(12)
+    assert max(depth - left for depth, left in calls) == 1
+
+
 def test_side_moves_spell_each_composition_once():
     # one side of the transfer sweep, walked alone from the fresh side with
     # left = m - v: the walks that end fresh spell each composition of m
