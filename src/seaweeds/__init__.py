@@ -40,8 +40,7 @@ _EXPORTS = {
         "genfunc": (
             "RationalGF", "builtin_gfs", "denominator_power_of_1_minus_2x",
             "format_gf", "format_poly", "gf_coefficients",
-            "gf_coefficients_by_division", "parse_gf", "parse_poly",
-            "poly_add", "poly_mul", "poly_pow", "poly_trim",
+            "gf_coefficients_by_division", "poly_mul", "poly_pow", "poly_trim",
         ),
         "meander": (
             "ComponentSummary", "Meander", "build_meander", "component_summary",
@@ -51,8 +50,7 @@ _EXPORTS = {
         "verify": ("VerifySuiteReport", "run_suite"),
         "winding": (
             "HomotopyType", "Move", "Signature", "format_signature",
-            "homotopy_components", "homotopy_index", "parse_homotopy_type",
-            "parse_signature", "wind_down", "wind_step",
+            "homotopy_components", "homotopy_index", "wind_down", "wind_step",
         ),
     }.items()
     for name in names

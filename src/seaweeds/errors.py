@@ -1,5 +1,5 @@
-"""Exception types of the package, the one limit check, the parsers' int
-reader, and Frozen, the base of the package's value classes.
+"""Exception types of the package, the one limit check, the composition
+parser's int reader, and Frozen, the base of the package's value classes.
 
 Every module that defines a value class already imports this one, and it
 imports only operator: building the classes generates and compiles no
@@ -10,7 +10,7 @@ from operator import attrgetter
 
 
 class ParseError(ValueError):
-    """Malformed text for a composition, seaweed type, signature, or polynomial.
+    """Malformed text for a composition or a seaweed type.
 
     Carries the bare ``message`` and ``position`` (0-based offset into the
     input) when known; str() appends the position to the message.

@@ -14,17 +14,9 @@ The three built-in generating functions expand to the diagonal counts:
 
 from __future__ import annotations
 
-import re
-
-from .errors import Frozen, ParseError, read_int
+from .errors import Frozen
 
 Poly = tuple[int, ...]
-
-# A parsed polynomial is a dense tuple, one entry per power up to its degree,
-# so the degree a text may ask for is bounded before anything is allocated.
-MAX_POLY_DEGREE = 10_000
-
-_TERM_RE = re.compile(r"([+-]?)(\d+)?(x(?:\^(\d+))?)?")
 
 
 def poly_trim(coeffs) -> Poly:
@@ -32,15 +24,6 @@ def poly_trim(coeffs) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return poly_trim(out)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -149,53 +132,6 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-def parse_poly(text: str) -> Poly:
-    if not text:
-        raise ParseError("empty polynomial", 0)
-    if text == "0":
-        return ()
-    coeffs: dict[int, int] = {}
-    pos = 0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos or (m.group(2) is None and m.group(3) is None):
-            raise ParseError(f"bad polynomial term in {text!r}", pos)
-        sign = -1 if m.group(1) == "-" else 1
-        if pos > 0 and m.group(1) == "":
-            raise ParseError(f"missing sign between terms in {text!r}", pos)
-        mag = 1 if m.group(2) is None else read_int(m.group(2), "coefficient", pos)
-        if m.group(3) is None:
-            power = 0
-        elif m.group(4) is not None:
-            # compare digit counts first: int() of a long digit string is slow
-            # and refused past sys.get_int_max_str_digits()
-            digits = m.group(4).lstrip("0") or "0"
-            power = (int(digits) if len(digits) <= len(str(MAX_POLY_DEGREE))
-                     else MAX_POLY_DEGREE + 1)
-        else:
-            power = 1
-        if power > MAX_POLY_DEGREE:
-            raise ParseError(
-                f"degree exceeds the limit {MAX_POLY_DEGREE} in {text!r}", pos)
-        coeffs[power] = coeffs.get(power, 0) + sign * mag
-        pos = m.end()
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return poly_trim(out)
-
-
 def format_gf(gf: RationalGF) -> str:
     return f"({format_poly(gf.numerator)})/({format_poly(gf.denominator)})"
 
-
-def parse_gf(text: str) -> RationalGF:
-    m = re.fullmatch(r"\((.*)\)/\((.*)\)", text)
-    if not m:
-        raise ParseError(f"expected (numerator)/(denominator), got {text!r}")
-    num = parse_poly(m.group(1))
-    den = parse_poly(m.group(2))
-    try:
-        return RationalGF(num, den)
-    except ValueError as e:
-        raise ParseError(str(e)) from None

@@ -49,14 +49,11 @@ distinct C size.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from functools import cache
 
 from .compositions import Composition, SeaweedType
-from .errors import Frozen, ParseError, read_int
-
-_SIG_TOKEN = re.compile(r"[FRBP]|C\((\d+)\)")
+from .errors import Frozen
 
 
 class Move(Frozen):
@@ -87,9 +84,6 @@ class Signature(Frozen):
 
     def __str__(self) -> str:
         return format_signature(self)
-
-    def homotopy_type(self) -> "HomotopyType":
-        return HomotopyType(tuple(m.size for m in self.moves if m.tag == "C"))
 
 
 class HomotopyType(Frozen):
@@ -346,32 +340,3 @@ def homotopy_index(h: HomotopyType) -> int:
 def format_signature(sig: Signature) -> str:
     return "".join([m._text for m in sig.moves])
 
-
-def parse_signature(text: str) -> Signature:
-    if not text:
-        raise ParseError("empty signature", 0)
-    moves = []
-    pos = 0
-    while pos < len(text):
-        m = _SIG_TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad signature token in {text!r}", pos)
-        if m.group().startswith("C"):
-            size = read_int(m.group(1), "C size", pos)
-            if size < 1:
-                raise ParseError(f"C size must be positive in {text!r}", pos)
-            moves.append(Move("C", size))
-        else:
-            moves.append(Move(m.group()))
-        pos = m.end()
-    return Signature(tuple(moves))
-
-
-def parse_homotopy_type(text: str) -> HomotopyType:
-    m = re.fullmatch(r"H\((\d+(?:,\d+)*)\)", text)
-    if not m:
-        raise ParseError(f"bad homotopy type {text!r}")
-    comps = tuple(read_int(c, "component") for c in m.group(1).split(","))
-    if any(c < 1 for c in comps):
-        raise ParseError(f"components must be positive in {text!r}")
-    return HomotopyType(comps)

@@ -16,8 +16,6 @@ from seaweeds.compositions import (
     parse_seaweed_type,
 )
 from seaweeds.errors import LimitExceeded, ParseError
-from seaweeds.genfunc import parse_poly
-from seaweeds.winding import parse_homotopy_type, parse_signature
 
 
 def compositions_recursive(n):
@@ -193,19 +191,3 @@ def test_parse_part_too_long():
         parse_seaweed_type(f"{digits}/{part}")
     assert e.value.position == len(str(digits)) + 1
 
-
-@pytest.mark.skipif(_MAX_STR_DIGITS == 0,
-                    reason="int() reads any number of digits")
-@pytest.mark.parametrize("parse, text, what, position", [
-    (parse_poly, "1-{}x^2", "coefficient", 1),
-    (parse_signature, "FRC({})", "C size", 2),
-    (parse_homotopy_type, "H(2,{})", "component", None),
-])
-def test_integer_field_too_long(parse, text, what, position):
-    # every parser reads its integers through one reader, which turns the
-    # int() digit limit into a ParseError
-    digits = _MAX_STR_DIGITS + 1
-    with pytest.raises(ParseError) as e:
-        parse(text.format("9" * digits))
-    assert e.value.message == f"{what} of {digits} digits is too long to read"
-    assert e.value.position == position

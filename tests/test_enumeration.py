@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 from collections import Counter
 from functools import cache
 
@@ -107,6 +108,33 @@ def test_transfer_move_tables_stop_at_the_prune(monkeypatch):
     enumeration._transfer_rows(12)
     assert max(depth - left for depth, left in calls) == 1
 
+
+def test_transfer_fold_keeps_no_mirror_beside_its_key(monkeypatch):
+    # each vertex's states, read where _transfer_rows unpacks its row: a
+    # complete fold keeps one key of each mirrored pair (bc, tc, len(ends) -
+    # nt, ends reversed and negated); a fold that breaks the tie one way
+    # keeps the rows right but some mirrors beside their keys
+    rows = enumeration._recurrence_rows(12)
+    counts, beside = [], []
+    unpack = enumeration._unpack_row
+
+    def read_states(packed, w):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "_transfer_rows"
+        states = caller.f_locals["states"]
+        counts.append(len(states))
+        for key in states:
+            tc, bc, nt, ends = key
+            mirror = (bc, tc, len(ends) - nt, tuple([-e for e in ends[::-1]]))
+            if mirror != key and mirror in states:
+                beside.append(key)
+        return unpack(packed, w)
+
+    monkeypatch.setattr(enumeration, "_unpack_row", read_states)
+    assert enumeration._transfer_rows(12) == rows
+    assert beside == []
+    assert len(counts) == 12
+    assert (sum(counts), max(counts)) == (1992, 544)
 
 def test_side_moves_spell_each_composition_once():
     # one side of the transfer sweep, walked alone from the fresh side with

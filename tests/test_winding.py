@@ -8,12 +8,10 @@ from seaweeds.compositions import (
     parse_seaweed_type,
 )
 from seaweeds.enumeration import homotopy_census
-from seaweeds.errors import ParseError
 from seaweeds.meander import seaweed_index
 from seaweeds.winding import (
     HomotopyType,
     Move,
-    Signature,
     _key_components,
     _move,
     _move_table,
@@ -24,8 +22,6 @@ from seaweeds.winding import (
     format_signature,
     homotopy_components,
     homotopy_index,
-    parse_homotopy_type,
-    parse_signature,
     wind_down,
     wind_step,
 )
@@ -127,7 +123,7 @@ def test_homotopy_type_multiset_equality():
     assert repr(HomotopyType((1, 5, 2))) == "HomotopyType(components=(1, 5, 2))"
     with pytest.raises(ValueError):
         HomotopyType((0,))
-    # a component the printed form could not carry back through the parser
+    # a component that is not a positive int, which str() would print as is
     for bad in ((2.5,), (True,), (2, True), ("2",)):
         with pytest.raises(ValueError, match="^components must be positive$"):
             HomotopyType(bad)
@@ -164,43 +160,10 @@ def test_move_validation():
         Move("C")  # size required
     with pytest.raises(ValueError):
         Move("F", 3)  # size forbidden
-    # a C size that parse_signature and HomotopyType refuse
+    # a C size that is not a positive int
     for size in (0, -3, 2.0, "2", True):
         with pytest.raises(ValueError, match="C size must be a positive integer"):
             Move("C", size)
-
-
-def test_signature_grammar_round_trip():
-    for text in ("PPC(1)C(5)C(2)", "C(1)", "BFBFPFRBC(1)", "FC(12)"):
-        assert format_signature(parse_signature(text)) == text
-    with pytest.raises(ParseError) as e:
-        parse_signature("PPX")
-    assert e.value.position == 2
-    with pytest.raises(ParseError):
-        parse_signature("")
-    with pytest.raises(ParseError):
-        parse_signature("C(0)")
-    with pytest.raises(ParseError):
-        parse_signature("C()")
-
-
-def test_parse_homotopy_type():
-    assert parse_homotopy_type("H(1,5,2)") == HomotopyType((1, 5, 2))
-    assert parse_homotopy_type("H(3)").components == (3,)
-    for bad in ("H()", "H(1,)", "H(0)", "1,2", "H(1 ,2)"):
-        with pytest.raises(ParseError):
-            parse_homotopy_type(bad)
-
-
-def test_homotopy_type_text_round_trip_on_census_keys():
-    for h in homotopy_census(6):
-        assert parse_homotopy_type(str(h)) == h
-
-
-def test_signature_round_trip_on_wound_types():
-    for st in all_pairs(9):
-        sig, _ = wind_down(st)
-        assert parse_signature(format_signature(sig)) == sig
 
 
 def test_termination_and_conservation():
@@ -244,7 +207,8 @@ def test_same_composition_winds_to_its_parts():
 def test_fast_kernel_matches_wind_down(seeded_pairs):
     # wind_down and homotopy_components run the kernel itself, so wind down
     # by wind_step objects: every pair with n <= 8, then the regime of the
-    # queries benchmark's tail, thousands of moves on parts of 1 to 3
+    # queries benchmark's tail, thousands of moves on parts of 1 to 3; the
+    # printed signature is spelled from the wind_step moves' tags and sizes
     many_part = seeded_pairs(3400, 20, (100, 1000), (1, 3))
     assert max(st.n for st in many_part) > 700
     for st in [st for n in range(1, 9) for st in all_pairs(n)] + many_part:
@@ -256,6 +220,8 @@ def test_fast_kernel_matches_wind_down(seeded_pairs):
         sig, h = wind_down(st)
         got = [(m.tag, m.size) for m in sig.moves]
         assert got == [(m.tag, m.size) for m in moves], str(st)
+        assert format_signature(sig) == "".join(
+            f"C({m.size})" if m.tag == "C" else m.tag for m in moves), str(st)
         sizes = tuple(m.size for m in moves if m.tag == "C")
         assert homotopy_components(st) == h.components == sizes, str(st)
 
@@ -343,7 +309,3 @@ def test_homotopy_index_matches_graph_index_on_large_random_pairs(large_random_p
         _, h = wind_down(st)
         assert homotopy_index(h) == seaweed_index(st), str(st)
 
-
-def test_signature_homotopy_method():
-    sig = Signature((Move("P"), Move("C", 1), Move("C", 5)))
-    assert sig.homotopy_type() == HomotopyType((1, 5))
