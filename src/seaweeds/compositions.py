@@ -5,6 +5,15 @@ compositions of n are in bijection with bitmasks in [0, 2^(n-1)): bit i-1 set
 means "cut between position i and i+1".  Mask order is the canonical
 enumeration order everywhere in this package; pairs of compositions of n run
 top mask major, bottom mask minor.
+
+parse_composition reads a text by one of two paths.  The fast path splits on
+"|" and looks each piece up in _PARTS, which maps the canonical spelling of
+every part up to 999 to its value: no regex and no int() per part.
+A piece that is not a key (a part above 999, or malformed text) sends
+the whole text down the second path, the regex and int() per part.  Every
+key spells its value in canonical form, so a text the first path accepts is
+one the second would accept with the same parts; every ParseError, message
+and position alike, therefore comes from the second path alone.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ from .errors import Frozen, ParseError, check_limit, read_int
 MAX_TYPE_N = 10**6
 
 _COMPOSITION_RE = re.compile(r"[1-9][0-9]*(?:\|[1-9][0-9]*)*")
+
+# canonical spelling -> value of each part 1..999, for the fast path
+_PARTS = {str(p): p for p in range(1, 1000)}
 
 
 class Composition(Frozen):
@@ -117,9 +129,18 @@ def all_pairs(n: int) -> Iterator[SeaweedType]:
 def parse_composition(text: str) -> Composition:
     """Parse ``a1|a2|...|ak`` with decimal parts and no whitespace.
 
-    An error is placed by the longest well-formed prefix: a part in it too
-    long for int() comes first, else the character that ends the prefix.
+    A text whose parts all spell keys of _PARTS is read by table lookup;
+    any other falls through to the regex and int() per part, which alone
+    raises ParseError (see the module docstring).  An error is placed by the
+    longest well-formed prefix: a part in it too long for int() comes first,
+    else the character that ends the prefix.
     """
+    try:
+        parts = tuple(map(_PARTS.__getitem__, text.split("|")))
+    except KeyError:
+        pass  # a part above 999, or malformed text
+    else:
+        return Composition(parts)
     m = _COMPOSITION_RE.match(text)
     if not m:
         if not text:

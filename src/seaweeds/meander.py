@@ -37,9 +37,12 @@ def _block_edges(parts: tuple[int, ...]) -> list[tuple[int, int]]:
     p = 0
     for a in parts:
         if a > 1:  # a part of 1 has no arc: no range is built for it
-            s = 2 * p + a + 1  # j + k for every arc of this block
-            for j in range(p + 1, p + 1 + a // 2):
-                edges.append((j, s - j))
+            if a < 4:  # nor for a part of 2 or 3, which has one arc
+                edges.append((p + 1, p + a))
+            else:
+                s = 2 * p + a + 1  # j + k for every arc of this block
+                for j in range(p + 1, p + 1 + a // 2):
+                    edges.append((j, s - j))
         p += a
     return edges
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from seaweeds.compositions import (
+    _PARTS,
     MAX_TYPE_N,
     Composition,
     SeaweedType,
@@ -158,19 +159,55 @@ def _scan(text):
         pos = end + 1
 
 
+def _check_against_scan(text):
+    want = _scan(text)
+    if isinstance(want, list):
+        assert list(parse_composition(text).parts) == want, text
+        return
+    message, position = want
+    with pytest.raises(ParseError) as e:
+        parse_composition(text)
+    assert e.value.position == position, text
+    assert str(e.value) == f"{message} (at position {position})", text
+
+
 def test_parse_composition_matches_scan():
     rng = random.Random(20181808)
     for _ in range(20000):
-        text = "".join(rng.choices("0123456789|x", k=rng.randint(0, 10)))
-        want = _scan(text)
-        if isinstance(want, list):
-            assert list(parse_composition(text).parts) == want, text
-            continue
-        message, position = want
-        with pytest.raises(ParseError) as e:
-            parse_composition(text)
-        assert e.value.position == position, text
-        assert str(e.value) == f"{message} (at position {position})", text
+        _check_against_scan(
+            "".join(rng.choices("0123456789|x", k=rng.randint(0, 10))))
+
+
+def test_parts_table_invariant():
+    # each key spells its value as str() does, so a text made of keys and
+    # "|" is one the regex accepts: the table adds no text of its own
+    assert all(key == str(value) for key, value in _PARTS.items())
+    assert sorted(_PARTS.values()) == list(range(1, 1000))
+
+
+def test_parse_many_parts_matches_scan():
+    # up to ~5000 parts, with parts below the table's bound, at it (999),
+    # just past it (1000) and far past it, so that both paths read long
+    # texts; then each text once corrupted at a few places
+    rng = random.Random(40)
+    for _ in range(40):
+        k = round(5000 ** rng.random())
+        big = rng.choice((0.0, 0.001, 0.05))  # share of parts past 999
+        parts = [
+            rng.choice((1000, 10**6, rng.randint(1000, 10**6)))
+            if rng.random() < big else
+            rng.choice((1, 2, 3, 999, rng.randint(1, 999)))
+            for _ in range(k)
+        ]
+        text = "|".join(map(str, parts))
+        c = parse_composition(text)
+        assert list(c.parts) == parts == _scan(text)
+        assert str(c) == text
+        for _ in range(4):
+            i = rng.randint(0, len(text))
+            edit = rng.choice(("0", "x", "|", ""))
+            _check_against_scan(
+                text[:i] + edit + text[i + (edit == ""):])
 
 
 # Python < 3.10.7 has no digit limit (and no function to read it)
