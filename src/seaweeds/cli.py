@@ -15,9 +15,9 @@ Exit codes: 0 success; 1 failed golden check or failed verify suite;
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from .compositions import parse_seaweed_type
 from .declarations import LIMITS, SUITES, TABLES, limit
@@ -25,16 +25,17 @@ from .errors import LimitExceeded, ParseError, UsageError, check_limit
 # index, wind and render import only what they run: cmd_table imports from
 # enumeration when it runs, and verify is imported by run_suite's first
 # call, so a request compiles neither (nor formulas and genfunc, which they
-# import).  Besides the package, a request adds only argparse, gettext,
-# locale and __future__ to what a bare CPython 3.11 interpreter has loaded:
-# the value classes build on errors.Frozen, so no request imports inspect
-# (tests/test_imports.py).  parse_seaweed_type, build_meander,
-# component_summary, seaweed_index, seaweed_dimension, seaweed_rank,
-# wind_down, format_signature and run_suite are module attributes the cmd_*
-# functions resolve when called, because bench/traced.py patches the first
-# eight here and bench/verify_child.py replaces run_suite.  cmd_index reads
-# the index off its component summary; seaweed_index stays importable for
-# the tracer.
+# import).  Besides the package, an index or wind request adds only
+# __future__ to what a bare CPython 3.11 interpreter has loaded, because
+# main answers it without argparse; any other request also adds argparse,
+# gettext and locale, which build_parser imports.  The value classes build
+# on errors.Frozen, so no request imports inspect (tests/test_imports.py).
+# parse_seaweed_type, build_meander, component_summary, seaweed_index,
+# seaweed_dimension, seaweed_rank, wind_down, format_signature and run_suite
+# are module attributes the cmd_* functions resolve when called, because
+# bench/traced.py patches the first eight here and bench/verify_child.py
+# replaces run_suite.  cmd_index reads the index off its component summary;
+# seaweed_index stays importable for the tracer.
 from .meander import (
     MAX_RENDER_N,
     build_meander,
@@ -55,8 +56,10 @@ EXIT_IO = 4
 
 
 @functools.lru_cache(maxsize=1)
-def build_parser(limits: tuple[int, ...]) -> argparse.ArgumentParser:
+def build_parser(limits: tuple[int, ...]):
     """The parser whose epilog prints these values of the LIMITS entries."""
+    import argparse
+
     environment = ", ".join(f"{entry.env} {entry.help} (default {value})"
                             for entry, value in zip(LIMITS.values(), limits))
     parser = argparse.ArgumentParser(
@@ -181,10 +184,18 @@ def main(argv=None) -> int:
         "render": cmd_render,
     }
     try:
-        # Building the parser costs more than answering an index query, so
-        # it is built once per tuple of limits.  The limits are read (and a
-        # bad one rejected) on every call, so --help shows the current ones.
-        args = build_parser(tuple(map(limit, LIMITS))).parse_args(argv)
+        # The limits are read (and a bad one rejected) on every call, so
+        # --help shows the current ones.
+        limits = tuple(map(limit, LIMITS))
+        argv = sys.argv[1:] if argv is None else argv
+        # `index T` and `wind T` are answered without argparse, which costs
+        # more than the answer: their parsers have no option but -h, and a
+        # T that does not begin with '-' is the positional they would pass
+        # on unchanged.  argparse still serves help, usage errors and every
+        # other command, from a parser built once per tuple of limits.
+        if len(argv) == 2 and argv[0] in ("index", "wind") and argv[1][:1] != "-":
+            return handlers[argv[0]](SimpleNamespace(type=argv[1]))
+        args = build_parser(limits).parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

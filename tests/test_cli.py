@@ -8,7 +8,7 @@ import pytest
 
 from seaweeds import cli, enumeration, meander, verify
 from seaweeds.compositions import all_pairs, parse_seaweed_type
-from seaweeds.errors import LimitExceeded
+from seaweeds.errors import LimitExceeded, ParseError, UsageError
 
 
 def run(capsys, *argv):
@@ -87,11 +87,14 @@ def test_index_part_too_long(capsys):
 
 
 def test_parser_built_once_per_limits(capsys, monkeypatch):
+    # index and wind requests are answered without a parser; --help and
+    # every other command build one per tuple of limits
     monkeypatch.delenv("SEAWEEDS_CENSUS_LIMIT", raising=False)
     cli.build_parser.cache_clear()
     for _ in range(5):
         assert run(capsys, "index", "2|4/1|2|3")[0] == 0
-    assert cli.build_parser.cache_info().misses == 1
+        assert run(capsys, "wind", "2|4/1|2|3")[0] == 0
+    assert cli.build_parser.cache_info().misses == 0
 
     def help_text():
         with pytest.raises(SystemExit) as exc:
@@ -99,9 +102,50 @@ def test_parser_built_once_per_limits(capsys, monkeypatch):
         assert exc.value.code == 0
         return " ".join(capsys.readouterr().out.split())
 
+    def misses_after_tables():
+        for _ in range(3):
+            assert run(capsys, "table", "cnk", "--max-n", "2")[0] == 0
+        return cli.build_parser.cache_info().misses
+
     assert f"default {enumeration.LIMITS['census'].default})" in help_text()
+    assert misses_after_tables() == 1
     monkeypatch.setenv("SEAWEEDS_CENSUS_LIMIT", "9")
     assert "default 9)" in help_text()
+    assert misses_after_tables() == 2
+
+
+ERROR_CODES = {ParseError: cli.EXIT_USAGE, UsageError: cli.EXIT_USAGE,
+               LimitExceeded: cli.EXIT_LIMIT, OSError: cli.EXIT_IO}
+
+
+def through_argparse(argv):
+    """What cli.main answers when argparse parses every argv."""
+    args = cli.build_parser(tuple(map(cli.limit, cli.LIMITS))).parse_args(argv)
+    try:
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except tuple(ERROR_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for cls, code in ERROR_CODES.items() if isinstance(e, cls))
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, text] for command in ("index", "wind")
+      for text in ("2|4/1|2|3", "", "2|1/3 ", "-1|2/3", "-", "--", "--help")),
+    ["index"],
+    ["index", "2|1/3", "extra"],
+    ["wind", "2|1/3", "--format", "svg"],
+], ids=lambda argv: " ".join(map(repr, argv)))
+def test_direct_dispatch_answers_as_argparse(capsys, argv):
+    # index and wind skip the parser only on argv it would pass on as the
+    # type unchanged: exit code (or SystemExit code), stdout and stderr agree
+    def answer(main):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    assert answer(cli.main) == answer(through_argparse)
 
 
 @pytest.mark.parametrize("census, c22", [(None, None), ("9", "7")])
@@ -254,7 +298,8 @@ def test_table_max_n_below_minimum(capsys, kind, max_n):
 @pytest.mark.parametrize("var", ["SEAWEEDS_CENSUS_LIMIT"])
 def test_bad_limit_env(capsys, monkeypatch, var):
     monkeypatch.setenv(var, "abc")
-    for argv in (["index", "2|1/3"], ["table", "cnk", "--max-n", "3"]):
+    for argv in (["index", "2|1/3"], ["wind", "2|1/3"],
+                 ["table", "cnk", "--max-n", "3"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -558,6 +558,17 @@ def test_diff_golden_clean_and_tampered():
     assert problems == ["cell (n=4, k=2): expected 16, got 15"]
 
 
+def test_diff_golden_reads_the_last_column():
+    # C(10, 9) is the last column the cnk reference has
+    golden = load_golden("cnk")
+    t = build_table("cnk", 10)
+    assert golden.width() == 10
+    want = golden.cell(10, 9)
+    t.rows[10][9] = want + 1
+    assert diff_golden(t, golden) == [
+        f"cell (n=10, k=9): expected {want}, got {want + 1}"]
+
+
 def test_diff_golden_missing_and_extra_rows():
     golden = load_golden("cnk")
     holes = IndexTable("cnk", {1: {0: 1}, 3: {0: 6, 1: 6, 2: 4}})

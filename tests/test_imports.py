@@ -55,23 +55,29 @@ HEAVY = ("seaweeds.enumeration", "seaweeds.verify", "seaweeds.formulas",
 # imports ast, dis, tokenize and linecache.
 SLOW_STDLIB = ("dataclasses", "inspect")
 
-# In a fresh interpreter: the heavy modules loaded after the three light
-# requests, then after a table; and every module the package and all five
-# requests added to those loaded before it (so that no site hook counts).
+# Stdlib modules only the parser needs: cli.main answers index and wind
+# without argparse, which imports gettext.
+PARSER_STDLIB = ("argparse", "gettext")
+
+# In a fresh interpreter: the heavy and the parser modules loaded after each
+# of an index, a wind, a render and a table request; and every module the
+# package and all five requests added to those loaded before it (so that no
+# site hook counts).
 BOUNDARY_PROBE = f"""\
 import contextlib, io, json, sys
 before = set(sys.modules)
 import seaweeds.cli as cli
-loaded, codes = [], []
+loaded, parsers, codes = [], [], []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["index", "2|4/1|2|3"], ["wind", "2|4/1|2|3"], ["render", "2|1/3"]):
+    for argv in (["index", "2|4/1|2|3"], ["wind", "2|4/1|2|3"],
+                 ["render", "2|1/3"], ["table", "c21", "--max-n", "3"]):
         codes.append(cli.main(argv))
-    loaded.append([m for m in {HEAVY!r} if m in sys.modules])
-    codes.append(cli.main(["table", "c21", "--max-n", "3"]))
-    loaded.append([m for m in {HEAVY!r} if m in sys.modules])
+        loaded.append([m for m in {HEAVY!r} if m in sys.modules])
+        parsers.append([m for m in {PARSER_STDLIB!r} if m in sys.modules])
     codes.append(cli.main(["verify", "recursion"]))
 added = sorted(set(sys.modules) - before)
-print(json.dumps({{"codes": codes, "loaded": loaded, "added": added}}))
+print(json.dumps({{"codes": codes, "loaded": loaded, "parsers": parsers,
+                  "added": added}}))
 """
 
 
@@ -93,11 +99,16 @@ def boundary() -> dict:
 def test_light_requests_leave_the_heavy_modules_unloaded():
     result = boundary()
     assert result["codes"] == [0, 0, 0, 0, 0]
-    after_light, after_table = result["loaded"]
-    assert after_light == []
+    after_index, after_wind, after_render, after_table = result["loaded"]
+    assert after_index == after_wind == after_render == []
     # a table runs enumeration (and formulas, which it imports), not verify
     assert "seaweeds.enumeration" in after_table
     assert "seaweeds.verify" not in after_table
+
+
+def test_index_and_wind_import_no_parser():
+    # a render and a table still go through argparse
+    assert boundary()["parsers"] == [[], [], list(PARSER_STDLIB), list(PARSER_STDLIB)]
 
 
 def test_no_request_imports_inspect():
